@@ -9,17 +9,25 @@ import mbits "math/bits"
 // dimension for every candidate still alive in bits and clears the bits of
 // the objects failing the relation's per-dimension predicate.
 //
-// The bitmap packs object i into bits[i/64] bit i%64. Callers must clear the
-// tail bits beyond the object count (InitBitmap does); the kernels only
-// narrow the bitmap, so the tail stays clear.
+// The bitmap packs object i into bits[i/64] bit i%64. A kernel needs
+// len(hi) ≥ len(lo) and len(bits) ≥ BitmapWords(len(lo)), and panics
+// otherwise; it narrows exactly the first BitmapWords(len(lo)) words, clears
+// any bit past len(lo) in the last of them and leaves later words untouched.
 //
-// Lanes are processed a 64-bit word at a time. Dense words (at least
-// sparseCutoff survivors) take a branch-free full-word pass where each
-// comparison materializes as a flag bit (SETcc), not a jump; sparse words
-// iterate only their set bits, so lanes killed by earlier dimensions cost
-// nothing — the columnar equivalent of the scalar verifier's per-object
-// early exit. Fully zeroed words are skipped outright, and the returned
-// survivor count lets the caller stop as soon as the bitmap empties.
+// Lanes are processed a 64-bit word at a time, and fully zeroed words are
+// skipped outright; the returned survivor count lets the caller stop as soon
+// as the bitmap empties. Each kernel has two bodies:
+//
+//   - The AVX2 body (kernel_amd64.s) evaluates every lane of a non-zero word:
+//     eight 8-lane compare pairs, each folded into 8 keep bits with one
+//     VANDPS and one VMOVMSKPS, then POPCNT on the narrowed word. The partial
+//     last word goes through the same body with masked loads.
+//   - The portable body runs everywhere else and is the reference the vector
+//     body is tested against. Dense words (at least sparseCutoff survivors)
+//     take a branch-free full-word pass where each comparison materializes as
+//     a flag bit (SETcc), not a jump; sparse words iterate only their set
+//     bits, so lanes killed by earlier dimensions cost nothing — the columnar
+//     equivalent of the scalar verifier's per-object early exit.
 
 // BitmapWords returns the number of uint64 words needed for n objects.
 func BitmapWords(n int) int { return (n + 63) >> 6 }
@@ -40,10 +48,11 @@ func InitBitmap(bits []uint64, n int) {
 }
 
 // sparseCutoff is the survivor count below which per-set-bit iteration beats
-// the branch-free full-word pass: a full pass costs 64 lane evaluations
-// regardless of how many lanes are still alive, while a set-bit step costs
-// only slightly more than one lane evaluation (find/clear the bit plus two
-// indexed loads), so sparse iteration wins already at moderate density.
+// the branch-free full-word pass in the portable kernels: a full pass costs
+// 64 lane evaluations regardless of how many lanes are still alive, while a
+// set-bit step costs only slightly more than one lane evaluation (find/clear
+// the bit plus two indexed loads), so sparse iteration wins already at
+// moderate density.
 const sparseCutoff = 48
 
 // b2u converts a comparison outcome into a 0/1 lane bit; the compiler turns
@@ -55,43 +64,25 @@ func b2u(b bool) uint64 {
 	return 0
 }
 
+// The three relations reduce to two per-dimension comparison shapes over a
+// scalar pair (a,b):
+//
+//   - leGe keeps lo[i] ≤ a ∧ hi[i] ≥ b: Intersects with (a,b) = (qhi,qlo),
+//     Encloses with (qlo,qhi);
+//   - geLe keeps lo[i] ≥ a ∧ hi[i] ≤ b: ContainedBy with (qlo,qhi).
+//
+// Every comparison involving NaN is false, as with Go's <= and >=, so a NaN
+// coordinate or bound never survives. filterLeGe and filterGeLe dispatch each
+// shape to its AVX2 body when the CPU and OS support it (kernel_amd64.go) and
+// to the portable body otherwise; both bodies produce the same bitmap and
+// count for every input.
+
 // FilterIntersects narrows bits to objects whose interval [lo[i],hi[i]]
 // overlaps the query interval [qlo,qhi] and returns the survivor count.
 //
 //ac:noalloc
 func FilterIntersects(lo, hi []float32, qlo, qhi float32, bits []uint64) int {
-	survivors := 0
-	n := len(lo)
-	for w := range bits {
-		word := bits[w]
-		if word == 0 {
-			continue
-		}
-		base := w << 6
-		m := n - base
-		if m > 64 {
-			m = 64
-		}
-		l, h := lo[base:base+m], hi[base:base+m]
-		var keep uint64
-		if mbits.OnesCount64(word) < sparseCutoff {
-			// The &63 mask proves the index < 64 to the compiler,
-			// eliding bounds checks on full words (the bitmap
-			// invariant guarantees set bits index live objects).
-			for rest := word; rest != 0; rest &= rest - 1 {
-				j := mbits.TrailingZeros64(rest)
-				keep |= (b2u(l[j&63] <= qhi) & b2u(qlo <= h[j&63])) << uint(j)
-			}
-		} else {
-			for j := 0; j < m; j++ {
-				keep |= (b2u(l[j] <= qhi) & b2u(qlo <= h[j])) << uint(j)
-			}
-		}
-		word &= keep
-		bits[w] = word
-		survivors += mbits.OnesCount64(word)
-	}
-	return survivors
+	return filterLeGe(lo, hi, qhi, qlo, bits)
 }
 
 // FilterContainedBy narrows bits to objects contained in the query interval
@@ -99,6 +90,36 @@ func FilterIntersects(lo, hi []float32, qlo, qhi float32, bits []uint64) int {
 //
 //ac:noalloc
 func FilterContainedBy(lo, hi []float32, qlo, qhi float32, bits []uint64) int {
+	return filterGeLe(lo, hi, qlo, qhi, bits)
+}
+
+// FilterEncloses narrows bits to objects enclosing the query interval
+// (lo[i] ≤ qlo and hi[i] ≥ qhi) and returns the survivor count.
+//
+//ac:noalloc
+func FilterEncloses(lo, hi []float32, qlo, qhi float32, bits []uint64) int {
+	return filterLeGe(lo, hi, qlo, qhi, bits)
+}
+
+// kernelBits checks that hi and bits cover every lane of lo and returns bits
+// trimmed to exactly the words holding those lanes. Both kernel bodies run
+// behind it, so a short column or bitmap panics on either path instead of
+// being read out of bounds.
+//
+//ac:noalloc
+func kernelBits(lo, hi []float32, bits []uint64) []uint64 {
+	nw := BitmapWords(len(lo))
+	if len(hi) < len(lo) || len(bits) < nw {
+		panic("geom: filter kernel: hi column or bitmap shorter than lo")
+	}
+	return bits[:nw]
+}
+
+// filterLeGeGeneric is the portable body of the leGe shape.
+//
+//ac:noalloc
+func filterLeGeGeneric(lo, hi []float32, a, b float32, bits []uint64) int {
+	bits = kernelBits(lo, hi, bits)
 	survivors := 0
 	n := len(lo)
 	for w := range bits {
@@ -107,23 +128,23 @@ func FilterContainedBy(lo, hi []float32, qlo, qhi float32, bits []uint64) int {
 			continue
 		}
 		base := w << 6
-		m := n - base
-		if m > 64 {
-			m = 64
+		m := min(n-base, 64)
+		if m < 64 {
+			word &= 1<<uint(m) - 1 // lanes past len(lo) hold no object
 		}
 		l, h := lo[base:base+m], hi[base:base+m]
 		var keep uint64
 		if mbits.OnesCount64(word) < sparseCutoff {
 			// The &63 mask proves the index < 64 to the compiler,
-			// eliding bounds checks on full words (the bitmap
-			// invariant guarantees set bits index live objects).
+			// eliding bounds checks on full words (set bits index
+			// live lanes once the tail is masked).
 			for rest := word; rest != 0; rest &= rest - 1 {
 				j := mbits.TrailingZeros64(rest)
-				keep |= (b2u(l[j&63] >= qlo) & b2u(h[j&63] <= qhi)) << uint(j)
+				keep |= (b2u(l[j&63] <= a) & b2u(h[j&63] >= b)) << uint(j)
 			}
 		} else {
 			for j := 0; j < m; j++ {
-				keep |= (b2u(l[j] >= qlo) & b2u(h[j] <= qhi)) << uint(j)
+				keep |= (b2u(l[j] <= a) & b2u(h[j] >= b)) << uint(j)
 			}
 		}
 		word &= keep
@@ -133,11 +154,11 @@ func FilterContainedBy(lo, hi []float32, qlo, qhi float32, bits []uint64) int {
 	return survivors
 }
 
-// FilterEncloses narrows bits to objects enclosing the query interval
-// (lo[i] ≤ qlo and hi[i] ≥ qhi) and returns the survivor count.
+// filterGeLeGeneric is the portable body of the geLe shape.
 //
 //ac:noalloc
-func FilterEncloses(lo, hi []float32, qlo, qhi float32, bits []uint64) int {
+func filterGeLeGeneric(lo, hi []float32, a, b float32, bits []uint64) int {
+	bits = kernelBits(lo, hi, bits)
 	survivors := 0
 	n := len(lo)
 	for w := range bits {
@@ -146,23 +167,23 @@ func FilterEncloses(lo, hi []float32, qlo, qhi float32, bits []uint64) int {
 			continue
 		}
 		base := w << 6
-		m := n - base
-		if m > 64 {
-			m = 64
+		m := min(n-base, 64)
+		if m < 64 {
+			word &= 1<<uint(m) - 1 // lanes past len(lo) hold no object
 		}
 		l, h := lo[base:base+m], hi[base:base+m]
 		var keep uint64
 		if mbits.OnesCount64(word) < sparseCutoff {
 			// The &63 mask proves the index < 64 to the compiler,
-			// eliding bounds checks on full words (the bitmap
-			// invariant guarantees set bits index live objects).
+			// eliding bounds checks on full words (set bits index
+			// live lanes once the tail is masked).
 			for rest := word; rest != 0; rest &= rest - 1 {
 				j := mbits.TrailingZeros64(rest)
-				keep |= (b2u(l[j&63] <= qlo) & b2u(h[j&63] >= qhi)) << uint(j)
+				keep |= (b2u(l[j&63] >= a) & b2u(h[j&63] <= b)) << uint(j)
 			}
 		} else {
 			for j := 0; j < m; j++ {
-				keep |= (b2u(l[j] <= qlo) & b2u(h[j] >= qhi)) << uint(j)
+				keep |= (b2u(l[j] >= a) & b2u(h[j] <= b)) << uint(j)
 			}
 		}
 		word &= keep

@@ -5,10 +5,13 @@ package geom
 // swept over {4, 8, 16, 32} and per-dimension selectivity over {0.1, 0.5,
 // 0.9} (the fraction of objects surviving each dimension column — low
 // selectivity values empty the bitmap quickly, high values keep it dense).
-// The scalar variant runs the per-object FlatMatches verifier over the
-// interleaved layout the engine used before the columnar rewrite, so
-// kernel regressions show up as a shrinking kernel/scalar gap. Run with
-// -benchmem: the kernels must not allocate.
+// The kernel variant runs the dispatching FilterIntersects (the AVX2 body
+// where the CPU has it), the portable variant calls the portable body
+// directly, so benchstat shows the vector/portable gap per case. The scalar
+// variant runs the per-object FlatMatches verifier over the interleaved
+// layout the engine used before the columnar rewrite, so kernel regressions
+// show up as a shrinking kernel/scalar gap. Run with -benchmem: the kernels
+// must not allocate.
 
 import (
 	"fmt"
@@ -60,6 +63,21 @@ func BenchmarkSearchKernel(b *testing.B) {
 					alive := kernelBenchObjects
 					for d := 0; d < dims && alive > 0; d++ {
 						alive = FilterIntersects(lo[d], hi[d], q.Min[d], q.Max[d], bits)
+					}
+					survivors += alive
+				}
+				_ = survivors
+			})
+			b.Run(fmt.Sprintf("dims=%d/sel=%.1f/portable", dims, pass), func(b *testing.B) {
+				b.ReportAllocs()
+				b.SetBytes(int64(kernelBenchObjects) * 8)
+				survivors := 0
+				for i := 0; i < b.N; i++ {
+					InitBitmap(bits, kernelBenchObjects)
+					alive := kernelBenchObjects
+					for d := 0; d < dims && alive > 0; d++ {
+						// FilterIntersects is the leGe shape at (qhi, qlo).
+						alive = filterLeGeGeneric(lo[d], hi[d], q.Max[d], q.Min[d], bits)
 					}
 					survivors += alive
 				}

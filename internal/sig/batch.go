@@ -237,7 +237,8 @@ func matchQueryTail(rel geom.Relation, b []float32, bq *BatchQueries, qi, d0 int
 // MatchBoundsBatch scans a flat signature mirror — n signatures stored as
 // 4·dims contiguous floats [aLo,aHi,bLo,bHi] per dimension — once for every
 // query in bq, appending the cluster-major matches to out. bits is
-// caller-provided scratch of at least geom.BitmapWords(bq.N) words. sel, when
+// caller-provided scratch of at least geom.BitmapWords(bq.N) words; only that
+// prefix is used, so stale words past it never leak into a match. sel, when
 // it holds exactly 4·n bytes, is the mirror's precomputed dimension-selector
 // side array (AppendSelectors per signature); pass nil (or an array of any
 // other length) to have the point kernel scan widths inline instead. For every
@@ -260,6 +261,7 @@ func MatchBoundsBatch(sb []float32, n, dims int, bq *BatchQueries, rel geom.Rela
 		matchPointsBatch(sb, n, dims, bq, rel, sel, out)
 		return
 	}
+	bits = bits[:geom.BitmapWords(bq.N)]
 	stride := 4 * dims
 	sparse := bq.N / 4
 	for ci := 0; ci < n; ci++ {
