@@ -89,7 +89,9 @@ func (d *Disk) Close() error {
 
 // Search calls emit for every object satisfying the relation with q; emit
 // returning false stops the search (regions not yet read stay unread). The
-// emission order across clusters is unspecified.
+// emission order across clusters is unspecified. On an error emit may
+// already have received some qualifying ids; the other query methods return
+// no partial answer with an error.
 //
 //ac:noalloc
 func (d *Disk) Search(q Rect, rel Relation, emit func(id uint32) bool) error {

@@ -130,7 +130,11 @@
 // interested queries while its member columns are hot, and the whole
 // batch's statistics publish as a single mailbox entry. Per-query answers,
 // meters and clustering statistics are exactly those of looping
-// SearchIDsAppend — batching saves passes, never work accounting. A batch
+// SearchIDsAppend — batching saves passes, never work accounting. The batch
+// pass is the only read path of the adaptive and disk engines: Search,
+// SearchIDs, SearchIDsAppend and Count run as a batch of one, whose
+// signature pass is the single-query mirror scan, and every read records
+// its statistics rather than applying them in place. A batch
 // of all-point queries (Min == Max everywhere, the pub/sub event regime)
 // takes a faster kernel still: the batch's coordinates are sorted once per
 // dimension and each signature binary-searches its narrowest membership

@@ -8,11 +8,12 @@ import (
 	"accluster/internal/sig"
 )
 
-// Batched selection: one engine pass for N queries. A looped single-query
-// caller pays N scans of the flat signature mirror, N statistics
-// publications and — when several queries select the same cluster — N
-// separate walks over that cluster's member columns. The batch path
-// restructures the same work around the data instead of the queries:
+// The read phase: every selection is a batch, and a single query is a batch
+// of one. A looped single-query caller pays N scans of the flat signature
+// mirror, N statistics publications and — when several queries select the
+// same cluster — N separate walks over that cluster's member columns. The
+// batched read phase restructures the same work around the data instead of
+// the queries:
 //
 //   - the signature mirror is scanned once for the whole batch with the
 //     transposed query-block kernel (sig.MatchBoundsBatch),
@@ -29,67 +30,28 @@ import (
 // structure — the batch is one structural snapshot, which is also what a
 // concurrent caller issuing N SearchRead calls back-to-back observes.
 
-// batchScratch holds the per-batch buffers of one in-flight batched
-// selection, pooled like searchScratch so steady-state batches allocate
-// nothing. It travels with the batch statistics delta through the
-// publication mailbox and returns to the pool once the delta is applied.
+// batchScratch holds the buffers of one in-flight read phase, pooled so
+// steady-state selections allocate nothing. It travels with the statistics
+// record through the publication mailbox and returns to the pool once the
+// record is applied.
 //
 //ac:scratch
 type batchScratch struct {
-	bq    sig.BatchQueries // query-coordinate SoA of the batch
-	match sig.BatchMatch   // cluster-major signature matches
-	qbits []uint64         // query-survivor bitmap of the signature pass
+	sig.Scan
+	one [1]geom.Rect // the query slice of a batch of one
 
-	// Query-major transpose of match: qcIdx[qcOff[qi]:qcOff[qi+1]] are the
-	// statistics-record indices (positions in match.QIdx and stats.d) of
-	// query qi's matched clusters, in ascending cluster order — the order
-	// matchClusters would have returned.
+	// Query-major transpose of the cluster-major match:
+	// qcIdx[qcOff[qi]:qcOff[qi+1]] are the statistics-record indices
+	// (positions in Match.QIdx and stats) of query qi's matched clusters,
+	// in ascending cluster order.
 	qcOff []int32
 	qcIdx []int32
 
-	orders []int     // flat nq×dims per-query dimension orders
-	widths []float32 // sort keys backing orders
-
-	perQ [][]uint32 // per-query result accumulators (cluster-major fill)
-	bits []uint64   // member-verification bitmap
-
 	meter cost.Meter // the whole batch's operation counts
-	stats batchDelta // the whole batch's deferred statistics publication
+	stats statDelta  // the whole batch's deferred statistics publication
 }
 
-// batchDelta is the statistics publication a batch owes: statDelta's flat
-// cluster/candidate record, one record per (cluster,query) signature match,
-// laid out cluster-major — record j is the j-th entry of the kernel's
-// cluster-major match, so recording walks each cluster's candidate columns
-// once, hot, for all its interested queries. The query-major view needed to
-// replay the increments query by query (each query's cluster Q and candidate
-// q bumps followed by its window tick and epoch trigger, exactly the looped
-// single-query order) is the scratch's qcOff/qcIdx transpose, whose entries
-// index these records.
-type batchDelta struct {
-	nq int
-	d  statDelta
-}
-
-func (bd *batchDelta) reset() {
-	bd.nq = 0
-	bd.d.reset()
-}
-
-// ensureBits returns the member-verification bitmap sized for n objects.
-//
-//ac:noalloc
-func (bc *batchScratch) ensureBits(n int) []uint64 {
-	w := geom.BitmapWords(n)
-	if cap(bc.bits) < w {
-		//acvet:ignore noalloc amortized scratch growth; no alloc once bits reaches dataset size
-		bc.bits = make([]uint64, w)
-	}
-	return bc.bits[:w]
-}
-
-// getBatchScratch takes a batch scratch from the pool (its buffers are
-// reset).
+// getBatchScratch takes a scratch from the pool (its buffers are reset).
 //
 //ac:noalloc
 func (ix *Index) getBatchScratch() *batchScratch {
@@ -100,7 +62,7 @@ func (ix *Index) getBatchScratch() *batchScratch {
 	return &batchScratch{}
 }
 
-// putBatchScratch clears the per-batch state and returns bc to the pool.
+// putBatchScratch clears the per-read state and returns bc to the pool.
 //
 //ac:noalloc
 func (ix *Index) putBatchScratch(bc *batchScratch) {
@@ -139,231 +101,170 @@ func (ix *Index) validateBatch(qs []geom.Rect, rel geom.Relation) error {
 //
 //ac:noalloc
 func (ix *Index) SearchBatchRead(dst *geom.IDBatch, qs []geom.Rect, rel geom.Relation) error {
-	if err := ix.validateBatch(qs, rel); err != nil {
-		return err
-	}
-	dst.Reset(len(qs))
-	if len(qs) == 0 {
-		return nil
-	}
-	bc := ix.getBatchScratch()
-	ix.batchRead(bc, qs, rel, dst, false)
-	ix.meter.Merge(bc.meter)
-	ix.enqueueBatchStats(bc)
-	return nil
+	return ix.searchBatch(dst, qs, rel, false)
 }
 
 // SearchIDsBatch is SearchBatchRead for exclusive-access callers: the batch
-// statistics apply inline — replayed query by query, window ticks and epoch
-// triggers interleaved exactly as the serial single-query loop would — and
-// each query pays its budgeted slice of pending reorganization work.
+// statistics apply straight after the read phase — replayed query by query,
+// window ticks and epoch triggers interleaved exactly as the serial
+// single-query loop would — and each query pays its budgeted slice of
+// pending reorganization work.
 func (ix *Index) SearchIDsBatch(dst *geom.IDBatch, qs []geom.Rect, rel geom.Relation) error {
+	return ix.searchBatch(dst, qs, rel, true)
+}
+
+// searchBatch runs a validated batch into dst and publishes it like
+// searchOne.
+//
+//ac:noalloc
+func (ix *Index) searchBatch(dst *geom.IDBatch, qs []geom.Rect, rel geom.Relation, excl bool) error {
 	if err := ix.validateBatch(qs, rel); err != nil {
 		return err
 	}
-	ix.exclusivePrep()
+	if excl {
+		ix.exclusivePrep()
+	}
 	dst.Reset(len(qs))
 	if len(qs) == 0 {
 		return nil
 	}
 	bc := ix.getBatchScratch()
-	// With no epoch boundary inside the batch and no pending
-	// reorganization work to interleave, the per-query statistics replay
-	// is order-independent (syncStats is idempotent within an epoch, the
-	// increments commute), so the read pass applies the increments
-	// directly — the looped exclusive path's sc.direct mode, cluster-major
-	// — instead of recording and replaying them.
-	direct := len(ix.reorgQ) == 0 && ix.sinceReorg+len(qs) < ix.cfg.ReorgEvery
-	ix.batchRead(bc, qs, rel, dst, direct)
-	ix.meter.Merge(bc.meter)
-	if direct {
-		ix.window += float64(len(qs))
-		ix.sinceReorg += len(qs)
-	} else {
-		for qi := 0; qi < len(qs); qi++ {
-			ix.applyBatchQuery(bc, qi)
-			if !ix.cfg.BackgroundReorg && len(ix.reorgQ) > 0 {
-				ix.drain(ix.cfg.ReorgBudgetClusters, ix.cfg.ReorgBudgetObjects)
-			}
-		}
-	}
-	ix.putBatchScratch(bc)
+	out := bc.Accumulate(len(qs))
+	ix.batchRead(bc, qs, rel, nil, &out)
+	bc.Collect(dst)
+	ix.publish(bc, excl)
 	return nil
 }
 
-// batchRead is the read phase of a batched selection. With direct unset it
-// touches no index state that mutations change and records every side effect
-// into the batch scratch, so any number of read phases (single or batched)
-// may run concurrently. With direct set — exclusive callers only, and only
-// when no epoch boundary falls inside the batch — the per-cluster statistics
-// apply inline during the cluster-major walk (the single-query sc.direct
-// mode) and the recording, transpose and replay passes are skipped entirely.
+// batchRead is the read phase of a selection: it delivers each query's
+// answer to emit (a batch of one only) or dst (sig.Scan.Explore) and
+// records, rather than applies, every side effect — operation counts into
+// bc.meter, statistics increments into bc.stats. It touches no index state
+// that mutations change, so any number of read phases may run concurrently;
+// mutations require exclusivity. Once emit returns false the remaining
+// matched clusters are neither explored nor charged, but still recorded for
+// statistics: the adaptive decisions model which clusters the query
+// distribution selects, not how much of the answer a particular caller
+// consumed.
 //
 //ac:noalloc
-func (ix *Index) batchRead(bc *batchScratch, qs []geom.Rect, rel geom.Relation, dst *geom.IDBatch, direct bool) {
+func (ix *Index) batchRead(bc *batchScratch, qs []geom.Rect, rel geom.Relation, emit func(id uint32) bool, dst *sig.Sink) {
 	ix.readers.Add(1)
 	defer ix.readers.Add(-1)
 	nq := len(qs)
-	dims := ix.cfg.Dims
 	nc := len(ix.clusters)
 	bc.meter.Queries += int64(nq)
 	bc.meter.SigChecks += int64(nq) * int64(nc)
+	bc.Prepare(ix.sigBounds, nc, ix.cfg.Dims, ix.sigSel, qs, rel)
+	m := &bc.Match
 
-	// One pass over the signature mirror for the whole batch: the N query
-	// rectangles become coordinate columns, each signature the scalar side
-	// of the block-scan kernels.
-	bc.bq.Reset(qs, dims)
-	qw := geom.BitmapWords(nq)
-	if cap(bc.qbits) < qw {
-		//acvet:ignore noalloc amortized scratch growth; no alloc once qbits covers the batch size
-		bc.qbits = make([]uint64, qw)
+	// Transpose the cluster-major match into the query-major view the
+	// statistics replay needs (counting sort over match positions; within
+	// a query the records stay in ascending cluster order). Each
+	// match.QIdx entry becomes one statistics record below, in the same
+	// order, so the stored value is the entry's own position.
+	if cap(bc.qcOff) < nq+1 {
+		//acvet:ignore noalloc amortized scratch growth; no alloc once qcOff covers the batch size
+		bc.qcOff = make([]int32, 0, nq+1)
 	}
-	sig.MatchBoundsBatch(ix.sigBounds, nc, dims, &bc.bq, rel, ix.sigSel, bc.qbits[:qw], &bc.match)
-
-	bd := &bc.stats
-	if !direct {
-		// Transpose the cluster-major match into the query-major view
-		// the statistics replay needs (counting sort over match
-		// positions; within a query the records stay in ascending
-		// cluster order, exactly the matchClusters order of the
-		// single-query path). Each match.QIdx entry becomes one
-		// statistics record below, in the same order, so the stored
-		// value is the entry's own position.
-		if cap(bc.qcOff) < nq+1 {
-			//acvet:ignore noalloc amortized scratch growth; no alloc once qcOff covers the batch size
-			bc.qcOff = make([]int32, 0, nq+1)
-		}
-		bc.qcOff = bc.qcOff[:nq+1]
-		for i := range bc.qcOff {
-			bc.qcOff[i] = 0
-		}
-		for _, q32 := range bc.match.QIdx {
-			bc.qcOff[q32+1]++
-		}
-		for i := 0; i < nq; i++ {
-			bc.qcOff[i+1] += bc.qcOff[i]
-		}
-		pairs := len(bc.match.QIdx)
-		if cap(bc.qcIdx) < pairs {
-			//acvet:ignore noalloc amortized scratch growth; no alloc once qcIdx covers the match volume
-			bc.qcIdx = make([]int32, 0, pairs)
-		}
-		bc.qcIdx = bc.qcIdx[:pairs]
-		for j, q32 := range bc.match.QIdx {
-			bc.qcIdx[bc.qcOff[q32]] = int32(j)
-			bc.qcOff[q32]++
-		}
-		// The cursor pass shifted every offset to the start of the
-		// next query's range; shift back.
-		for i := nq; i > 0; i-- {
-			bc.qcOff[i] = bc.qcOff[i-1]
-		}
-		bc.qcOff[0] = 0
-
-		bd.nq = nq
-		bd.d.candOff = append(bd.d.candOff[:0], 0)
+	bc.qcOff = bc.qcOff[:nq+1]
+	for i := range bc.qcOff {
+		bc.qcOff[i] = 0
 	}
-
-	// Per-query dimension orders, computed once per batch.
-	if cap(bc.orders) < nq*dims {
-		//acvet:ignore noalloc amortized scratch growth; no alloc once orders covers the batch size
-		bc.orders = make([]int, 0, nq*dims)
-		//acvet:ignore noalloc amortized scratch growth; no alloc once widths covers the batch size
-		bc.widths = make([]float32, 0, nq*dims)
+	for _, q32 := range m.QIdx {
+		bc.qcOff[q32+1]++
 	}
-	orders, widths := bc.orders[:nq*dims], bc.widths[:nq*dims]
-	for qi := range qs {
-		geom.QueryDimOrder(orders[qi*dims:qi*dims+dims], widths[qi*dims:qi*dims+dims], qs[qi], rel)
+	for i := 0; i < nq; i++ {
+		bc.qcOff[i+1] += bc.qcOff[i]
 	}
-
-	if cap(bc.perQ) < nq {
-		//acvet:ignore noalloc amortized scratch growth; no alloc once perQ covers the batch size
-		next := make([][]uint32, nq)
-		copy(next, bc.perQ)
-		bc.perQ = next
+	pairs := len(m.QIdx)
+	if cap(bc.qcIdx) < pairs {
+		//acvet:ignore noalloc amortized scratch growth; no alloc once qcIdx covers the match volume
+		bc.qcIdx = make([]int32, 0, pairs)
 	}
-	bc.perQ = bc.perQ[:nq]
-	for i := range bc.perQ {
-		bc.perQ[i] = bc.perQ[i][:0]
+	bc.qcIdx = bc.qcIdx[:pairs]
+	for j, q32 := range m.QIdx {
+		bc.qcIdx[bc.qcOff[q32]] = int32(j)
+		bc.qcOff[q32]++
 	}
+	// The cursor pass shifted every offset to the start of the next
+	// query's range; shift back.
+	for i := nq; i > 0; i-- {
+		bc.qcOff[i] = bc.qcOff[i-1]
+	}
+	bc.qcOff[0] = 0
 
 	// Cluster-major statistics recording and verification: each matched
 	// cluster's candidate array and member columns are walked for every
 	// interested query back-to-back, while they are hot in cache. The
-	// per-(cluster,query) work and meter charges are exactly the
-	// single-query path's; the records land in match order, which is what
-	// the qcIdx transpose above indexes.
+	// records land in match order, which is what the qcIdx transpose
+	// indexes.
+	bd := &bc.stats
+	bd.nq = nq
+	bd.candOff = append(bd.candOff[:0], 0)
 	stride := ix.sigStride()
-	for p, ci := range bc.match.Clusters {
+	stopped := false
+	for p, ci := range m.Clusters {
 		c := ix.clusters[ci]
-		n := len(c.ids)
+		interested := m.QIdx[m.QOff[p]:m.QOff[p+1]]
+		for _, q32 := range interested {
+			bd.clusters = append(bd.clusters, c)
+			recordCandidateStats(c, qs[q32], rel, bd)
+			bd.candOff = append(bd.candOff, int32(len(bd.cands)))
+		}
+		if stopped {
+			continue
+		}
+		// Explore the cluster for each interested query: one sequential
+		// region (one seek on disk, n·objBytes transferred), then member
+		// verification.
+		k := int64(len(interested))
+		bc.meter.Seeks += k
+		bc.meter.BytesTransferred += k * int64(len(c.ids)) * int64(ix.objBytes)
 		sb := ix.sigBounds[int(ci)*stride : (int(ci)+1)*stride]
-		if direct {
-			ix.syncStats(c)
-			for _, q32 := range bc.match.QIdx[bc.match.QOff[p]:bc.match.QOff[p+1]] {
-				c.q++
-				updateCandidateStats(c, qs[q32], rel)
-			}
-		} else {
-			for _, q32 := range bc.match.QIdx[bc.match.QOff[p]:bc.match.QOff[p+1]] {
-				bd.d.clusters = append(bd.d.clusters, c)
-				recordCandidateStats(c, qs[q32], rel, &bd.d)
-				bd.d.candOff = append(bd.d.candOff, int32(len(bd.d.cands)))
-			}
-		}
-		for _, q32 := range bc.match.QIdx[bc.match.QOff[p]:bc.match.QOff[p+1]] {
-			qi := int(q32)
-			q := qs[qi]
-			bc.meter.Explorations++
-			bc.meter.Seeks++
-			bc.meter.BytesTransferred += int64(n) * int64(ix.objBytes)
-			bc.meter.ObjectsVerified += int64(n)
-			if n == 0 {
-				continue
-			}
-			bits := bc.ensureBits(n)
-			geom.InitBitmap(bits, n)
-			alive := n
-			for _, dd := range orders[qi*dims : qi*dims+dims] {
-				if sig.BoundsImplyDim(rel, sb, dd, q.Min[dd], q.Max[dd]) {
-					continue
-				}
-				bc.meter.BytesVerified += int64(alive) * 8
-				alive = geom.FilterDim(rel, c.lo[dd], c.hi[dd], q.Min[dd], q.Max[dd], bits)
-				if alive == 0 {
-					break
-				}
-			}
-			if alive == 0 {
-				continue
-			}
-			bc.meter.Results += int64(alive)
-			bc.perQ[qi] = geom.AppendSurvivors(bc.perQ[qi], c.ids, bits)
-		}
-	}
-
-	// Concatenate the per-query accumulators into the flat result batch.
-	for qi := 0; qi < nq; qi++ {
-		dst.IDs = append(dst.IDs, bc.perQ[qi]...)
-		dst.Off[qi+1] = int32(len(dst.IDs))
+		stopped = !bc.Explore(p, sb, c.ids, c.lo, c.hi, emit, dst, &bc.meter)
 	}
 }
 
-// applyBatchQuery performs one batched query's share of the deferred
-// statistics publication — the same increments applyScratch makes for a
-// single query, picked out of the cluster-major batch delta through the
-// query-major transpose.
-func (ix *Index) applyBatchQuery(bc *batchScratch, qi int) {
-	bd := &bc.stats
+// publish merges a finished read phase's meter delta and hands its
+// statistics record on. An exclusive caller (excl) replays the record query
+// by query at once, each query followed by one budgeted reorganization step
+// — the serial maintenance cadence; a concurrent caller queues it for the
+// next exclusive holder.
+//
+//ac:noalloc
+func (ix *Index) publish(bc *batchScratch, excl bool) {
+	ix.meter.Merge(bc.meter)
+	if !excl {
+		ix.enqueueStats(bc)
+		return
+	}
+	for qi := 0; qi < bc.stats.nq; qi++ {
+		ix.applyQuery(bc, qi)
+		if !ix.cfg.BackgroundReorg && len(ix.reorgQ) > 0 {
+			ix.drain(ix.cfg.ReorgBudgetClusters, ix.cfg.ReorgBudgetObjects)
+		}
+	}
+	ix.putBatchScratch(bc)
+}
+
+// applyQuery performs one query's share of a read phase's statistics
+// publication: Q of every signature-matching cluster, q of every matched
+// candidate, one statistics window tick and the epoch trigger — picked out
+// of the cluster-major record through the query-major transpose. Clusters
+// merged away since the read ran are skipped; their statistics died with
+// them, as they would have had the merge preceded the query.
+func (ix *Index) applyQuery(bc *batchScratch, qi int) {
+	d := &bc.stats
 	for _, j := range bc.qcIdx[bc.qcOff[qi]:bc.qcOff[qi+1]] {
-		c := bd.d.clusters[j]
+		c := d.clusters[j]
 		if c.removed {
 			continue
 		}
 		ix.syncStats(c)
 		c.q++
 		cq := c.cands.q
-		for _, k := range bd.d.cands[bd.d.candOff[j]:bd.d.candOff[j+1]] {
+		for _, k := range d.cands[d.candOff[j]:d.candOff[j+1]] {
 			cq[k]++
 		}
 	}
@@ -374,18 +275,18 @@ func (ix *Index) applyBatchQuery(bc *batchScratch, qi int) {
 	}
 }
 
-// applyBatchInline applies the whole batch's statistics in one cluster-major
-// walk over the delta records. Valid only when no epoch boundary falls inside
-// the batch (ix.sinceReorg + nq < ReorgEvery): then the per-query replay's
+// applyInline applies a whole read phase's statistics in one cluster-major
+// walk over the records. Valid only when no epoch boundary falls inside the
+// batch (ix.sinceReorg + nq < ReorgEvery): then the per-query replay's
 // observable effects — syncStats, which early-returns once a cluster is
 // synced to the current epoch, and the commutative Q increments and window
 // ticks — are order-independent, so the linear walk over the records (each
 // cluster's entries adjacent, its stats hot) produces the identical state at
 // a fraction of the pointer-chasing.
-func (ix *Index) applyBatchInline(bc *batchScratch) {
-	bd := &bc.stats
+func (ix *Index) applyInline(bc *batchScratch) {
+	d := &bc.stats
 	var last *Cluster
-	for j, c := range bd.d.clusters {
+	for j, c := range d.clusters {
 		if c.removed {
 			continue
 		}
@@ -395,10 +296,10 @@ func (ix *Index) applyBatchInline(bc *batchScratch) {
 		}
 		c.q++
 		cq := c.cands.q
-		for _, k := range bd.d.cands[bd.d.candOff[j]:bd.d.candOff[j+1]] {
+		for _, k := range d.cands[d.candOff[j]:d.candOff[j+1]] {
 			cq[k]++
 		}
 	}
-	ix.window += float64(bd.nq)
-	ix.sinceReorg += bd.nq
+	ix.window += float64(d.nq)
+	ix.sinceReorg += d.nq
 }

@@ -102,12 +102,16 @@ type objLoc struct {
 	pos int32
 }
 
-// Index is the adaptive cost-based clustering index. It distinguishes two
-// access classes: the *Read query methods (SearchRead, SearchIDsAppendRead,
-// CountRead) may run concurrently with each other — they only read
-// structural state and defer their statistics publication (publish.go) —
-// while every other method requires exclusive access. The public accluster
-// package enforces the contract with a reader/writer lock per index.
+// Index is the adaptive cost-based clustering index. Every selection runs
+// through one batched read phase (batch.go) — a single query is a batch of
+// one — that records its statistics increments instead of applying them.
+// The index distinguishes two access classes: the *Read query methods
+// (SearchRead, SearchIDsAppendRead, CountRead, SearchBatchRead) may run
+// concurrently with each other — they only read structural state and queue
+// their statistics record (publish.go) — while every other method requires
+// exclusive access; an exclusive query applies its own record straight
+// after its read phase. The public accluster package enforces the contract
+// with a reader/writer lock per index.
 type Index struct {
 	cfg      Config
 	objBytes int
@@ -127,23 +131,21 @@ type Index struct {
 
 	loc map[uint32]objLoc
 
-	// scratch pools per-query buffers (*searchScratch) and bscratch
-	// per-batch buffers (*batchScratch) so that steady-state queries
-	// perform no allocations while each in-flight query still owns a
-	// private set; readers counts in-flight read phases (the reentrancy
-	// guard of exclusivePrep).
-	scratch  sync.Pool
+	// bscratch pools read-phase buffers (*batchScratch) so that
+	// steady-state queries perform no allocations while each in-flight
+	// read still owns a private set; readers counts in-flight read phases
+	// (the reentrancy guard of exclusivePrep).
 	bscratch sync.Pool
 	readers  atomic.Int32
 
 	// Statistics-publication mailbox: completed read phases enqueue their
-	// scratch (carrying the statistics delta — one entry per query, or one
-	// per whole batch) under pendMu; the next exclusive holder applies the
-	// batch (publish.go). pendN mirrors len(pending) for lock-free backlog
-	// checks; pendSpare recycles the drained slice.
+	// scratch (carrying the statistics record — one entry per read, a
+	// single query or a whole batch) under pendMu; the next exclusive
+	// holder applies them (publish.go). pendN mirrors len(pending) for
+	// lock-free backlog checks; pendSpare recycles the drained slice.
 	pendMu    sync.Mutex
-	pending   []statPub
-	pendSpare []statPub
+	pending   []*batchScratch
+	pendSpare []*batchScratch
 	pendN     atomic.Int32
 
 	// Statistics window: W is the decayed total number of queries; every

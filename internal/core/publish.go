@@ -9,14 +9,15 @@ package core
 // (§3.1) — which naively makes every search a write. To let concurrent
 // searches of one index proceed in parallel, the query path is split in two:
 //
-//   - The *read phase* (searchRead) touches only state that mutations keep
-//     frozen while readers are in flight: the cluster list, the signature
-//     mirror, the member columns and the candidate bounds. Everything the
-//     query would have written — cost-meter counts and the statistics
-//     increments — is recorded into the query's own pooled scratch instead.
+//   - The *read phase* (batchRead; a single query is a batch of one)
+//     touches only state that mutations keep frozen while readers are in
+//     flight: the cluster list, the signature mirror, the member columns and
+//     the candidate bounds. Everything the query would have written —
+//     cost-meter counts and the statistics increments — is recorded into
+//     the read's own pooled scratch instead.
 //   - The *publication phase* applies those recorded increments. Meter
 //     deltas merge immediately into a SyncMeter (its own short mutex, safe
-//     under the shared lock). Statistics deltas are enqueued into a small
+//     under the shared lock). Statistics records are enqueued into a small
 //     mailbox and applied by the next caller that holds the index
 //     exclusively: every mutating operation drains the mailbox on entry,
 //     and lock-owning wrappers (accluster.Adaptive, internal/shard) call
@@ -24,27 +25,34 @@ package core
 //     readers never wait for publication, with a blocking drain only once
 //     the backlog reaches StatsBacklogMax.
 //
-// Applied increments are exactly the ones the serial path would have made
-// (+1 per explored cluster and matched candidate, one window tick per
-// query), so after all deltas drain, concurrent and serial execution of the
-// same query set leave identical statistics up to the commutative reordering
-// of the additions.
+// This is the one statistics mechanism: every read records. An exclusive
+// caller (Search, SearchIDsAppend, Count, SearchIDsBatch) applies its own
+// record straight after its read phase, query by query with one budgeted
+// reorganization step after each. Applied increments are exactly one per
+// explored cluster and matched candidate and one window tick per query, so
+// after all records drain, concurrent and serial execution of the same query
+// set leave identical statistics up to the commutative reordering of the
+// additions.
 
 import (
 	"sync"
 )
 
 // StatsBacklogMax bounds the statistics-publication mailbox: once this many
-// query deltas are queued, the next publisher drains with a blocking lock
+// records are queued, the next publisher drains with a blocking lock
 // acquisition instead of an opportunistic TryLock, capping both the memory
 // pinned by queued scratches and the staleness of the adaptive statistics.
 const StatsBacklogMax = 128
 
-// statDelta records the statistics publication one query owes: the
-// signature-matching clusters (one Q increment each) and, per cluster, the
-// candidate subclusters the query virtually explored (one q increment each),
-// as a flat index list sliced by candOff.
+// statDelta is the statistics publication a read phase owes for its nq
+// queries: one record per (cluster, query) signature match, laid out
+// cluster-major — record j is the j-th entry of the read's cluster-major
+// match, naming the cluster (one Q increment) and, as a flat index list
+// sliced by candOff, the candidate subclusters the query virtually explored
+// (one q increment each). The scratch's query-major transpose picks out
+// each query's records for the replay.
 type statDelta struct {
+	nq       int
 	clusters []*Cluster
 	candOff  []int32 // len(clusters)+1 offsets into cands
 	cands    []int32 // flat matched-candidate indices
@@ -54,58 +62,21 @@ func (d *statDelta) reset() {
 	for i := range d.clusters {
 		d.clusters[i] = nil // do not pin merged-away clusters in the pool
 	}
+	d.nq = 0
 	d.clusters = d.clusters[:0]
 	d.candOff = d.candOff[:0]
 	d.cands = d.cands[:0]
 }
 
-// statPub is one mailbox entry: either a single query's scratch or a whole
-// batch's. Exactly one field is set; the entry owns the scratch until the
-// delta is applied, when it returns to its pool.
-type statPub struct {
-	sc *searchScratch
-	bc *batchScratch
-}
-
-// getScratch takes a query scratch from the pool (its buffers are reset).
+// enqueueStats queues a completed read phase's statistics record for the
+// next exclusive holder — a whole batch is one mailbox entry, so it costs
+// one drain; safe under the shared lock. The entry owns the scratch until
+// the record is applied, when it returns to its pool.
 //
 //ac:noalloc
-func (ix *Index) getScratch() *searchScratch {
-	if sc, ok := ix.scratch.Get().(*searchScratch); ok {
-		return sc
-	}
-	//acvet:ignore noalloc pool-miss construction; steady state reuses pooled scratch
-	return &searchScratch{}
-}
-
-// putScratch clears the per-query state and returns sc to the pool.
-//
-//ac:noalloc
-func (ix *Index) putScratch(sc *searchScratch) {
-	sc.meter.Reset()
-	sc.stats.reset()
-	ix.scratch.Put(sc)
-}
-
-// enqueueStats queues a completed query's statistics delta for the next
-// exclusive holder; safe under the shared lock.
-//
-//ac:noalloc
-func (ix *Index) enqueueStats(sc *searchScratch) {
+func (ix *Index) enqueueStats(bc *batchScratch) {
 	ix.pendMu.Lock()
-	ix.pending = append(ix.pending, statPub{sc: sc})
-	ix.pendN.Store(int32(len(ix.pending)))
-	ix.pendMu.Unlock()
-}
-
-// enqueueBatchStats queues a completed batch's statistics delta — the whole
-// batch is one mailbox entry, so it costs one drain; safe under the shared
-// lock.
-//
-//ac:noalloc
-func (ix *Index) enqueueBatchStats(bc *batchScratch) {
-	ix.pendMu.Lock()
-	ix.pending = append(ix.pending, statPub{bc: bc})
+	ix.pending = append(ix.pending, bc)
 	ix.pendN.Store(int32(len(ix.pending)))
 	ix.pendMu.Unlock()
 }
@@ -145,26 +116,20 @@ func (ix *Index) applyPending() int {
 	ix.pendN.Store(0)
 	ix.pendMu.Unlock()
 	n := 0
-	for i, p := range batch {
-		if p.sc != nil {
-			ix.applyScratch(p.sc)
-			ix.putScratch(p.sc)
-			n++
+	for i, bc := range batch {
+		if ix.sinceReorg+bc.stats.nq < ix.cfg.ReorgEvery {
+			// No epoch boundary inside the batch: the per-query
+			// replay is order-independent, so apply cluster-major
+			// (see applyInline).
+			ix.applyInline(bc)
 		} else {
-			if ix.sinceReorg+p.bc.stats.nq < ix.cfg.ReorgEvery {
-				// No epoch boundary inside the batch: the
-				// per-query replay is order-independent, so
-				// apply cluster-major (see applyBatchInline).
-				ix.applyBatchInline(p.bc)
-			} else {
-				for qi := 0; qi < p.bc.stats.nq; qi++ {
-					ix.applyBatchQuery(p.bc, qi)
-				}
+			for qi := 0; qi < bc.stats.nq; qi++ {
+				ix.applyQuery(bc, qi)
 			}
-			n += p.bc.stats.nq
-			ix.putBatchScratch(p.bc)
 		}
-		batch[i] = statPub{}
+		n += bc.stats.nq
+		ix.putBatchScratch(bc)
+		batch[i] = nil
 	}
 	ix.pendMu.Lock()
 	if ix.pendSpare == nil {
@@ -172,32 +137,6 @@ func (ix *Index) applyPending() int {
 	}
 	ix.pendMu.Unlock()
 	return n
-}
-
-// applyScratch performs one query's deferred statistics publication: the
-// exact increments the serial path makes inline — Q of every
-// signature-matching cluster, q of every matched candidate, one statistics
-// window tick, and the epoch trigger. Clusters merged away since the query
-// ran are skipped; their statistics died with them, as they would have had
-// the merge preceded the query.
-func (ix *Index) applyScratch(sc *searchScratch) {
-	d := &sc.stats
-	for j, c := range d.clusters {
-		if c.removed {
-			continue
-		}
-		ix.syncStats(c)
-		c.q++
-		cq := c.cands.q
-		for _, k := range d.cands[d.candOff[j]:d.candOff[j+1]] {
-			cq[k]++
-		}
-	}
-	ix.window++
-	ix.sinceReorg++
-	if ix.sinceReorg >= ix.cfg.ReorgEvery {
-		ix.beginEpoch()
-	}
 }
 
 // maxDrainReorgSteps caps the budgeted reorganization steps one DrainStats

@@ -2,51 +2,10 @@ package core
 
 import (
 	"fmt"
-	mbits "math/bits"
 
-	"accluster/internal/cost"
 	"accluster/internal/geom"
 	"accluster/internal/sig"
 )
-
-// searchScratch holds the per-query buffers of one in-flight selection, so
-// that steady-state searches allocate nothing: the matching cluster
-// positions from the signature scan, the verification bitmap (sized to the
-// largest explored cluster), the dimension ordering and its sort keys, plus
-// everything the query will publish after its read phase — the cost-meter
-// delta and the statistics delta. Scratches live in a pool (Index.scratch):
-// each concurrent query owns its own for the duration of the read phase;
-// the scratch travels with the statistics delta through the publication
-// mailbox and returns to the pool once the delta is applied.
-//
-//ac:scratch
-type searchScratch struct {
-	matches []int32   // positions of signature-matching clusters
-	bits    []uint64  // candidate bitmap for the block-scan kernels
-	order   []int     // per-query dimension processing order
-	widths  []float32 // sort keys backing order
-
-	meter cost.Meter // this query's operation counts
-	stats statDelta  // this query's deferred statistics publication
-
-	// direct marks the exclusive-access (serial) mode: the query applies
-	// its statistics increments inline instead of recording them — the
-	// caller owns the index, so the record-then-replay pass of the
-	// concurrent path would be pure overhead.
-	direct bool
-}
-
-// ensureBits returns the bitmap sized for n objects.
-//
-//ac:noalloc
-func (sc *searchScratch) ensureBits(n int) []uint64 {
-	w := geom.BitmapWords(n)
-	if cap(sc.bits) < w {
-		//acvet:ignore noalloc amortized scratch growth; no alloc once bits reaches dataset size
-		sc.bits = make([]uint64, w)
-	}
-	return sc.bits[:w]
-}
 
 // Search executes a spatial selection (Fig. 5): every materialized cluster's
 // signature is checked against the query (one linear scan of the flat
@@ -60,42 +19,12 @@ func (sc *searchScratch) ensureBits(n int) []uint64 {
 // query defers its statistics publication; a reentrant exclusive operation
 // panics).
 //
-// Search publishes statistics and runs scheduled maintenance inline, so it
-// requires exclusive access. Concurrent callers holding a shared lock use
-// SearchRead/SearchIDsAppendRead/CountRead, which defer publication.
+// Search applies its statistics and runs scheduled maintenance as soon as
+// its read phase ends, so it requires exclusive access. Concurrent callers
+// holding a shared lock use SearchRead/SearchIDsAppendRead/CountRead, which
+// defer publication.
 func (ix *Index) Search(q geom.Rect, rel geom.Relation, emit func(id uint32) bool) error {
-	return ix.searchSerial(q, rel, emit, nil, nil)
-}
-
-// searchSerial is the exclusive-access path: statistics apply inline during
-// the scan (no record-and-replay) and the query pays its budgeted slice of
-// pending reorganization work, exactly the paper's coupled schedule. Any
-// deltas queued by earlier concurrent-mode queries are applied first, so
-// the two modes interleave coherently.
-func (ix *Index) searchSerial(q geom.Rect, rel geom.Relation, emit func(id uint32) bool, out *[]uint32, count *int) error {
-	ix.exclusivePrep()
-	sc := ix.getScratch()
-	sc.direct = true
-	err := ix.searchRead(sc, q, rel, emit, out, count)
-	sc.direct = false
-	if err != nil {
-		ix.putScratch(sc)
-		return err
-	}
-	ix.meter.Merge(sc.meter)
-	ix.putScratch(sc)
-	ix.window++
-	ix.sinceReorg++
-	if ix.sinceReorg >= ix.cfg.ReorgEvery {
-		ix.beginEpoch()
-	}
-	if !ix.cfg.BackgroundReorg && len(ix.reorgQ) > 0 {
-		// Inline incremental mode: this query pays for one budgeted
-		// slice of the pending reorganization work instead of one
-		// caller in ReorgEvery absorbing the whole pass.
-		ix.drain(ix.cfg.ReorgBudgetClusters, ix.cfg.ReorgBudgetObjects)
-	}
-	return nil
+	return ix.searchOne(q, rel, emit, nil, true)
 }
 
 // SearchRead is Search for concurrent callers: it is safe to run
@@ -107,7 +36,7 @@ func (ix *Index) searchSerial(q geom.Rect, rel geom.Relation, emit func(id uint3
 //
 //ac:noalloc
 func (ix *Index) SearchRead(q geom.Rect, rel geom.Relation, emit func(id uint32) bool) error {
-	return ix.searchShared(q, rel, emit, nil, nil)
+	return ix.searchOne(q, rel, emit, nil, false)
 }
 
 // SearchIDsAppendRead is SearchIDsAppend for concurrent callers; see
@@ -115,8 +44,10 @@ func (ix *Index) SearchRead(q geom.Rect, rel geom.Relation, emit func(id uint32)
 //
 //ac:noalloc
 func (ix *Index) SearchIDsAppendRead(dst []uint32, q geom.Rect, rel geom.Relation) ([]uint32, error) {
-	err := ix.searchShared(q, rel, nil, &dst, nil)
-	return dst, err
+	ids := [1][]uint32{dst}
+	out := sig.Sink{IDs: ids[:]}
+	err := ix.searchOne(q, rel, nil, &out, false)
+	return ids[0], err
 }
 
 // CountRead is Count for concurrent callers; see SearchRead for the
@@ -124,36 +55,47 @@ func (ix *Index) SearchIDsAppendRead(dst []uint32, q geom.Rect, rel geom.Relatio
 //
 //ac:noalloc
 func (ix *Index) CountRead(q geom.Rect, rel geom.Relation) (int, error) {
-	n := 0
-	err := ix.searchShared(q, rel, nil, nil, &n)
-	return n, err
+	var out sig.Sink
+	err := ix.searchOne(q, rel, nil, &out, false)
+	return out.Count, err
 }
 
-// searchShared runs the read phase and defers the statistics publication to
-// the mailbox.
+// Count returns the number of objects satisfying the selection. It sums the
+// per-cluster survivor counts of the block scan directly — no ids are
+// extracted or buffered.
+func (ix *Index) Count(q geom.Rect, rel geom.Relation) (int, error) {
+	var out sig.Sink
+	err := ix.searchOne(q, rel, nil, &out, true)
+	return out.Count, err
+}
+
+// SearchIDs collects the identifiers of all qualifying objects.
+func (ix *Index) SearchIDs(q geom.Rect, rel geom.Relation) ([]uint32, error) {
+	return ix.SearchIDsAppend(nil, q, rel)
+}
+
+// SearchIDsAppend appends the identifiers of all qualifying objects to dst
+// and returns the extended slice. It bypasses the per-object emit
+// indirection, and reusing the returned slice across calls makes
+// steady-state selections allocation-free once its capacity covers the
+// answer sets.
+func (ix *Index) SearchIDsAppend(dst []uint32, q geom.Rect, rel geom.Relation) ([]uint32, error) {
+	ids := [1][]uint32{dst}
+	out := sig.Sink{IDs: ids[:]}
+	err := ix.searchOne(q, rel, nil, &out, true)
+	return ids[0], err
+}
+
+// searchOne runs one query as a batch of one, delivering its answer to emit,
+// or to dst when emit is nil. An exclusive caller (excl) first applies the
+// queued publications and then applies its own record straight after the
+// read phase; a concurrent caller queues it.
 //
 //ac:noalloc
-func (ix *Index) searchShared(q geom.Rect, rel geom.Relation, emit func(id uint32) bool, out *[]uint32, count *int) error {
-	sc := ix.getScratch()
-	if err := ix.searchRead(sc, q, rel, emit, out, count); err != nil {
-		ix.putScratch(sc)
-		return err
+func (ix *Index) searchOne(q geom.Rect, rel geom.Relation, emit func(id uint32) bool, dst *sig.Sink, excl bool) error {
+	if excl {
+		ix.exclusivePrep()
 	}
-	ix.meter.Merge(sc.meter)
-	ix.enqueueStats(sc)
-	return nil
-}
-
-// searchRead is the read phase of a selection: it delivers qualifying ids
-// through exactly one of three sinks — emit (with early-stop support), out
-// (append without the per-object indirection), or count (survivor totals
-// only) — and records, rather than applies, every side effect: operation
-// counts into sc.meter, statistics increments into sc.stats. It touches no
-// index state that mutations change, so any number of read phases may run
-// concurrently; mutations require exclusivity.
-//
-//ac:noalloc
-func (ix *Index) searchRead(sc *searchScratch, q geom.Rect, rel geom.Relation, emit func(id uint32) bool, out *[]uint32, count *int) error {
 	if q.Dims() != ix.cfg.Dims {
 		//acvet:ignore noalloc cold argument-validation failure path
 		return fmt.Errorf("core: query has %d dims, index has %d", q.Dims(), ix.cfg.Dims)
@@ -162,148 +104,19 @@ func (ix *Index) searchRead(sc *searchScratch, q geom.Rect, rel geom.Relation, e
 		//acvet:ignore noalloc cold argument-validation failure path
 		return fmt.Errorf("core: invalid relation %v", rel)
 	}
-	ix.readers.Add(1)
-	defer ix.readers.Add(-1)
-	sc.meter.Queries++
-	sc.meter.SigChecks += int64(len(ix.clusters))
-	sc.matches = ix.matchClusters(q, rel, sc.matches[:0])
-	order := queryDimOrder(sc, q, rel)
-	d := &sc.stats
-	if !sc.direct {
-		d.candOff = append(d.candOff, 0)
-	}
-	stopped := false
-	for _, ci := range sc.matches {
-		c := ix.clusters[ci]
-		// Clustering statistics cover every signature-matching cluster,
-		// even after the consumer stopped: the adaptive decisions model
-		// which clusters the query distribution selects, not how much of
-		// the answer a particular caller consumed. In exclusive (direct)
-		// mode they apply inline; in concurrent mode they are recorded
-		// here and applied at publication.
-		if sc.direct {
-			ix.syncStats(c)
-			c.q++
-			updateCandidateStats(c, q, rel)
-		} else {
-			d.clusters = append(d.clusters, c)
-			recordCandidateStats(c, q, rel, d)
-			d.candOff = append(d.candOff, int32(len(d.cands)))
-		}
-		if stopped {
-			// The consumer gave up: the remaining matched clusters are
-			// not explored, so no cost-meter charges (Seeks,
-			// Explorations, BytesTransferred, ObjectsVerified) accrue
-			// for them — only the statistics records above.
-			continue
-		}
-		// Explore the cluster: one sequential region (one seek on
-		// disk, n·objBytes transferred), then member verification.
-		sc.meter.Explorations++
-		sc.meter.Seeks++
-		sc.meter.BytesTransferred += int64(len(c.ids)) * int64(ix.objBytes)
-		n := len(c.ids)
-		sc.meter.ObjectsVerified += int64(n)
-		if n == 0 {
-			continue
-		}
-		// Block verification: prune the candidate bitmap one dimension
-		// column at a time. Every object still alive before a column
-		// has that dimension inspected (2 float32 = 8 bytes), so the
-		// verified-bytes accounting aggregates per-column survivor
-		// counts; the scan stops as soon as the bitmap empties.
-		bits := sc.ensureBits(n)
-		geom.InitBitmap(bits, n)
-		alive := n
-		sb := ix.sigBounds[int(ci)*ix.sigStride() : (int(ci)+1)*ix.sigStride()]
-		for _, dd := range order {
-			// Signature-implied skip: the cluster's variation intervals
-			// prove every member passes this dimension, so the column
-			// scan is a no-op (sig.BoundsImplyDim, shared with the disk
-			// engine).
-			if sig.BoundsImplyDim(rel, sb, dd, q.Min[dd], q.Max[dd]) {
-				continue
-			}
-			sc.meter.BytesVerified += int64(alive) * 8
-			alive = geom.FilterDim(rel, c.lo[dd], c.hi[dd], q.Min[dd], q.Max[dd], bits)
-			if alive == 0 {
-				break
-			}
-		}
-		if alive == 0 {
-			continue
-		}
-		if count != nil {
-			sc.meter.Results += int64(alive)
-			*count += alive
-			continue
-		}
-		if out != nil {
-			sc.meter.Results += int64(alive)
-			*out = geom.AppendSurvivors(*out, c.ids, bits)
-			continue
-		}
-	emitSurvivors:
-		for w, word := range bits {
-			base := w << 6
-			for word != 0 {
-				j := mbits.TrailingZeros64(word)
-				word &= word - 1
-				sc.meter.Results++
-				if !emit(c.ids[base+j]) {
-					stopped = true
-					break emitSurvivors
-				}
-			}
-		}
-	}
+	bc := ix.getBatchScratch()
+	bc.one[0] = q
+	ix.batchRead(bc, bc.one[:], rel, emit, dst)
+	bc.one[0] = geom.Rect{}
+	ix.publish(bc, excl)
 	return nil
-}
-
-// b2q converts a candidate-match condition into its statistics increment.
-// The compiler lowers the conditional to a flag materialization (SETcc), so
-// the candidate pass below carries no data-dependent branches — whether a
-// candidate matches is close to a coin flip, which made the naive
-// conditional increment mispredict-bound.
-func b2q(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// updateCandidateStats bumps the query indicator of every candidate
-// subcluster virtually explored by the query — the exclusive-mode twin of
-// recordCandidateStats below, with the same relation-specialized match
-// conditions (pinned equal by TestConcurrentStatsMatchSerial). The pass is
-// branch-free: every indicator is written back with +0 or +1 rather than
-// conditionally skipped.
-func updateCandidateStats(c *Cluster, q geom.Rect, rel geom.Relation) {
-	cs := &c.cands
-	switch rel {
-	case geom.Intersects:
-		for i, d := range cs.dim {
-			m := b2q(cs.aLo[i] <= q.Max[d]) & b2q(q.Min[d] <= cs.bHi[i])
-			cs.q[i] += float64(m)
-		}
-	case geom.ContainedBy:
-		for i, d := range cs.dim {
-			m := b2q(cs.aHi[i] >= q.Min[d]) & b2q(cs.bLo[i] <= q.Max[d])
-			cs.q[i] += float64(m)
-		}
-	case geom.Encloses:
-		for i, d := range cs.dim {
-			m := b2q(cs.aLo[i] <= q.Min[d]) & b2q(cs.bHi[i] >= q.Max[d])
-			cs.q[i] += float64(m)
-		}
-	}
 }
 
 // recordCandidateStats records the candidate subclusters virtually explored
 // by the query (the relation-specific necessary conditions of
 // sig.QueryDimMatch, specialized per relation so the pass over the candidate
 // array carries no per-candidate dispatch) into the statistics delta; the
-// matching indicators are incremented when the delta is published.
+// matching indicators are incremented when the delta is applied.
 //
 //ac:noalloc
 func recordCandidateStats(c *Cluster, q geom.Rect, rel geom.Relation, d *statDelta) {
@@ -328,28 +141,4 @@ func recordCandidateStats(c *Cluster, q geom.Rect, rel geom.Relation, d *statDel
 			}
 		}
 	}
-}
-
-// Count returns the number of objects satisfying the selection. It sums the
-// per-cluster survivor counts of the block scan directly — no ids are
-// extracted or buffered.
-func (ix *Index) Count(q geom.Rect, rel geom.Relation) (int, error) {
-	n := 0
-	err := ix.searchSerial(q, rel, nil, nil, &n)
-	return n, err
-}
-
-// SearchIDs collects the identifiers of all qualifying objects.
-func (ix *Index) SearchIDs(q geom.Rect, rel geom.Relation) ([]uint32, error) {
-	return ix.SearchIDsAppend(nil, q, rel)
-}
-
-// SearchIDsAppend appends the identifiers of all qualifying objects to dst
-// and returns the extended slice. It bypasses the per-object emit
-// indirection, and reusing the returned slice across calls makes
-// steady-state selections allocation-free once its capacity covers the
-// answer sets.
-func (ix *Index) SearchIDsAppend(dst []uint32, q geom.Rect, rel geom.Relation) ([]uint32, error) {
-	err := ix.searchSerial(q, rel, nil, &dst, nil)
-	return dst, err
 }

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"accluster/internal/geom"
-	"accluster/internal/sig"
-)
+import "accluster/internal/sig"
 
 // The per-query signature pass is the one cost every selection pays for
 // every materialized cluster (the A term of the cost model). Instead of
@@ -48,29 +45,4 @@ func (ix *Index) rebuildSigBounds() {
 	for _, c := range ix.clusters {
 		ix.appendSigBounds(c.signature)
 	}
-}
-
-// matchClusters appends the positions of all clusters whose signature
-// matches the query to dst, in cluster order (sig.MatchBounds over the flat
-// mirror).
-//
-//ac:noalloc
-func (ix *Index) matchClusters(q geom.Rect, rel geom.Relation, dst []int32) []int32 {
-	return sig.MatchBounds(ix.sigBounds, len(ix.clusters), ix.cfg.Dims, q, rel, dst)
-}
-
-// queryDimOrder orders the dimensions most-selective-first for the
-// verification kernels (geom.QueryDimOrder), computed once per query into
-// the query's scratch and applied to every explored cluster.
-//
-//ac:noalloc
-func queryDimOrder(sc *searchScratch, q geom.Rect, rel geom.Relation) []int {
-	dims := q.Dims()
-	if cap(sc.order) < dims {
-		//acvet:ignore noalloc amortized scratch growth; no alloc once order fits query dims
-		sc.order = make([]int, dims)
-		//acvet:ignore noalloc amortized scratch growth; no alloc once widths fits query dims
-		sc.widths = make([]float32, dims)
-	}
-	return geom.QueryDimOrder(sc.order[:dims], sc.widths[:dims], q, rel)
 }

@@ -1,17 +1,18 @@
 package diskengine
 
-// Batched execution against the on-device layout: one multi-query-aware
-// read plan for N queries. A looped single-query caller probes the cache
-// and plans a read pass per query, so clusters matched by several queries
-// are probed N times and — when evicted between queries or with the cache
-// disabled — read N times. The batch path unions the candidate clusters of
-// the whole batch first (the cluster-major signature match), checks the
-// block cache once per cluster, and feeds the misses to store.PlanReadRuns
-// as a single coalesced pass: each distinct cluster is decoded exactly
-// once and verified against every interested query while its columns are
-// hot, and the seek-sorted sweep coalesces across query boundaries — a
-// batch costs strictly fewer seeks than its looped equivalent whenever
-// queries share clusters or their clusters adjoin on the device.
+// The read phase against the on-device layout: one multi-query-aware read
+// plan for N queries, and a single query is a batch of one. A looped
+// single-query caller probes the cache and plans a read pass per query, so
+// clusters matched by several queries are probed N times and — when
+// evicted between queries or with the cache disabled — read N times. The
+// batch unions the candidate clusters of all its queries first (the
+// cluster-major signature match), checks the block cache once per cluster,
+// and feeds the misses to store.PlanReadRuns as a single coalesced pass:
+// each distinct cluster is decoded exactly once and verified against every
+// interested query while its columns are hot, and the seek-sorted sweep
+// coalesces across query boundaries — a batch costs strictly fewer seeks
+// than its looped equivalent whenever queries share clusters or their
+// clusters adjoin on the device.
 //
 // Accounting: the per-(cluster,query) CPU charges (Explorations,
 // ObjectsVerified, BytesVerified, Results) are exactly the looped
@@ -21,7 +22,6 @@ package diskengine
 
 import (
 	"fmt"
-	"sync"
 
 	"accluster/internal/blockcache"
 	"accluster/internal/cost"
@@ -30,50 +30,15 @@ import (
 	"accluster/internal/store"
 )
 
-// batchScratch holds the per-batch buffers of one in-flight batched
-// selection so the fully cached warm path allocates nothing.
-//
-//ac:scratch
-type batchScratch struct {
-	bq    sig.BatchQueries // query-coordinate SoA of the batch
-	match sig.BatchMatch   // cluster-major signature matches
-	qbits []uint64         // query-survivor bitmap of the signature pass
-
-	orders []int     // flat nq×dims per-query dimension orders
-	widths []float32 // sort keys backing orders
-	perQ   [][]uint32
-
-	miss []int32         // matched positions absent from the cache (each once)
-	runs []store.ReadRun // coalesced read plan over miss
-	buf  []byte          // device image of the run being processed
-	bits []uint64        // candidate bitmap for the filter kernels
-	// local is the decode target reused across misses when the engine has
-	// no cache.
-	local *blockcache.Region
-	meter cost.Meter
-}
-
-// ensureBits returns the bitmap sized for n objects.
-//
-//ac:noalloc
-func (sc *batchScratch) ensureBits(n int) []uint64 {
-	w := geom.BitmapWords(n)
-	if cap(sc.bits) < w {
-		//acvet:ignore noalloc amortized scratch growth; no alloc once bits reaches dataset size
-		sc.bits = make([]uint64, w)
-	}
-	return sc.bits[:w]
-}
-
 // pairOf returns the position of cluster ci in the cluster-major match
 // (binary search; match.Clusters is ascending by construction).
 //
 //ac:noalloc
 func (sc *batchScratch) pairOf(ci int32) int {
-	lo, hi := 0, len(sc.match.Clusters)
+	lo, hi := 0, len(sc.Match.Clusters)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if sc.match.Clusters[mid] < ci {
+		if sc.Match.Clusters[mid] < ci {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -82,10 +47,6 @@ func (sc *batchScratch) pairOf(ci int32) int {
 	return lo
 }
 
-// batchPool lazily initializes the batch scratch pool (engines predating a
-// batch call never pay for it).
-var batchPool = sync.Pool{New: func() any { return &batchScratch{} }}
-
 // SearchIDsBatch executes every query in qs in one engine pass and fills
 // dst with the per-query result sets (dst.Query(i) holds query i's ids).
 // The batch unions the candidate clusters of all queries, verifies cached
@@ -93,8 +54,9 @@ var batchPool = sync.Pool{New: func() any { return &batchScratch{} }}
 // sweep — each distinct region decoded once and verified against every
 // interested query. Result order within a query follows the pass order
 // (cached regions, then misses by device offset), as in the single-query
-// path. An invalid query fails the whole batch before any of it executes.
-// With every region cached a warm batch allocates nothing.
+// methods. An invalid query fails the whole batch before any of it
+// executes; a read error leaves dst reset, with no partial answers. With
+// every region cached a warm batch allocates nothing.
 //
 //ac:noalloc
 func (e *Engine) SearchIDsBatch(dst *geom.IDBatch, qs []geom.Rect, rel geom.Relation) error {
@@ -109,82 +71,66 @@ func (e *Engine) SearchIDsBatch(dst *geom.IDBatch, qs []geom.Rect, rel geom.Rela
 		}
 	}
 	dst.Reset(len(qs))
-	nq := len(qs)
-	if nq == 0 {
+	if len(qs) == 0 {
 		return nil
 	}
-	sc := batchPool.Get().(*batchScratch)
+	sc := e.scratch.Get().(*batchScratch)
+	out := sc.Accumulate(len(qs))
+	err := e.read(sc, qs, rel, nil, &out)
+	if err == nil {
+		sc.Collect(dst)
+	}
+	e.scratch.Put(sc)
+	return err
+}
+
+// read is the read phase: one signature pass for the batch, then the hit
+// pass — the union's cached regions, in mirror order, verified against all
+// their interested queries while pinned, one cache probe per distinct
+// cluster and no I/O — then the misses as one coalesced read pass. Answers
+// go to emit (a batch of one only) or dst; once emit returns false the
+// remaining regions stay unprobed, unread and uncharged. The meter delta
+// merges even when the read fails.
+//
+//ac:noalloc
+func (e *Engine) read(sc *batchScratch, qs []geom.Rect, rel geom.Relation, emit func(id uint32) bool, dst *sig.Sink) error {
+	nq := len(qs)
 	sc.meter = cost.Meter{}
 	sc.meter.Queries += int64(nq)
 	sc.meter.SigChecks += int64(nq) * int64(len(e.dir))
-
-	// One pass over the signature mirror for the whole batch.
-	sc.bq.Reset(qs, e.dims)
-	qw := geom.BitmapWords(nq)
-	if cap(sc.qbits) < qw {
-		//acvet:ignore noalloc amortized scratch growth; no alloc once qbits covers the batch size
-		sc.qbits = make([]uint64, qw)
-	}
-	sig.MatchBoundsBatch(e.sigBounds, len(e.dir), e.dims, &sc.bq, rel, e.sigSel, sc.qbits[:qw], &sc.match)
-
-	// Per-query dimension orders, computed once per batch.
-	if cap(sc.orders) < nq*e.dims {
-		//acvet:ignore noalloc amortized scratch growth; no alloc once orders covers the batch size
-		sc.orders = make([]int, 0, nq*e.dims)
-		//acvet:ignore noalloc amortized scratch growth; no alloc once widths covers the batch size
-		sc.widths = make([]float32, 0, nq*e.dims)
-	}
-	sc.orders, sc.widths = sc.orders[:nq*e.dims], sc.widths[:nq*e.dims]
-	for qi := range qs {
-		geom.QueryDimOrder(sc.orders[qi*e.dims:qi*e.dims+e.dims], sc.widths[qi*e.dims:qi*e.dims+e.dims], qs[qi], rel)
-	}
-	if cap(sc.perQ) < nq {
-		//acvet:ignore noalloc amortized scratch growth; no alloc once perQ covers the batch size
-		next := make([][]uint32, nq)
-		copy(next, sc.perQ)
-		sc.perQ = next
-	}
-	sc.perQ = sc.perQ[:nq]
-	for i := range sc.perQ {
-		sc.perQ[i] = sc.perQ[i][:0]
-	}
-
-	// Hit pass: the union's cached regions verify against all their
-	// interested queries while pinned — one cache probe per distinct
-	// cluster, no I/O. Misses defer to the single coalesced read pass.
+	sc.Prepare(e.sigBounds, len(e.dir), e.dims, e.sigSel, qs, rel)
 	sc.miss = sc.miss[:0]
-	for p, ci := range sc.match.Clusters {
+	keep := true
+	for p, ci := range sc.Match.Clusters {
 		if e.cache != nil {
 			if r, ok := e.cache.Get(blockcache.Key{Gen: e.gen, Cluster: ci}); ok {
 				sc.meter.CacheHits++
-				e.verifyRegionBatch(sc, r, int(ci), p, qs, rel)
+				keep = e.verify(sc, r, ci, p, emit, dst)
 				e.cache.Unpin(r)
+				if !keep {
+					break
+				}
 				continue
 			}
 		}
 		sc.miss = append(sc.miss, ci)
 	}
 	var err error
-	if len(sc.miss) > 0 {
-		err = e.readAndVerifyBatch(sc, qs, rel)
+	if keep && len(sc.miss) > 0 {
+		err = e.readMisses(sc, emit, dst)
 	}
 	e.meter.Merge(sc.meter)
-
-	// Concatenate the per-query accumulators into the flat result batch.
-	for qi := 0; qi < nq; qi++ {
-		dst.IDs = append(dst.IDs, sc.perQ[qi]...)
-		dst.Off[qi+1] = int32(len(dst.IDs))
-	}
-	batchPool.Put(sc)
 	return err
 }
 
-// readAndVerifyBatch runs the batch miss pass: one coalesced read plan over
-// the union of the batch's missed regions, each region decoded once and
-// verified against every query interested in it.
+// readMisses runs the miss pass: one coalesced read plan over the missed
+// regions (sorted by device offset), read run by run, each region decoded
+// once and verified against every query interested in it as it arrives —
+// an early stop leaves later runs unread and uncharged. Decoded regions are
+// offered to the cache.
 //
 //ac:noalloc
-func (e *Engine) readAndVerifyBatch(sc *batchScratch, qs []geom.Rect, rel geom.Relation) error {
+func (e *Engine) readMisses(sc *batchScratch, emit func(id uint32) bool, dst *sig.Sink) error {
 	sc.runs = store.PlanReadRuns(e.dir, sc.miss, e.dims, e.maxGap, sc.runs[:0])
 	for _, run := range sc.runs {
 		if int64(cap(sc.buf)) < run.Bytes {
@@ -221,51 +167,24 @@ func (e *Engine) readAndVerifyBatch(sc *batchScratch, qs []geom.Rect, rel geom.R
 				sc.meter.CacheMisses++
 				r = e.cache.Put(blockcache.Key{Gen: e.gen, Cluster: ci}, r)
 			}
-			e.verifyRegionBatch(sc, r, int(ci), sc.pairOf(ci), qs, rel)
+			keep := e.verify(sc, r, ci, sc.pairOf(ci), emit, dst)
 			if e.cache != nil {
 				e.cache.Unpin(r)
+			}
+			if !keep {
+				return nil
 			}
 		}
 	}
 	return nil
 }
 
-// verifyRegionBatch narrows one region's members against every query
-// interested in the cluster — the columns walked back-to-back per query
-// while hot — appending each query's survivors to its accumulator. The
-// per-(cluster,query) kernel work and meter charges equal the single-query
-// verifyRegion.
+// verify explores one region — match position p, cluster ci — for every
+// query interested in it, delivering the survivors to emit or dst; it
+// reports false once emit stopped the read phase.
 //
 //ac:noalloc
-func (e *Engine) verifyRegionBatch(sc *batchScratch, r *blockcache.Region, ci, pair int, qs []geom.Rect, rel geom.Relation) {
-	n := r.Len()
+func (e *Engine) verify(sc *batchScratch, r *blockcache.Region, ci int32, p int, emit func(id uint32) bool, dst *sig.Sink) bool {
 	stride := 4 * e.dims
-	sb := e.sigBounds[ci*stride : (ci+1)*stride]
-	for _, q32 := range sc.match.QIdx[sc.match.QOff[pair]:sc.match.QOff[pair+1]] {
-		qi := int(q32)
-		q := qs[qi]
-		sc.meter.Explorations++
-		sc.meter.ObjectsVerified += int64(n)
-		if n == 0 {
-			continue
-		}
-		bits := sc.ensureBits(n)
-		geom.InitBitmap(bits, n)
-		alive := n
-		for _, dd := range sc.orders[qi*e.dims : qi*e.dims+e.dims] {
-			if sig.BoundsImplyDim(rel, sb, dd, q.Min[dd], q.Max[dd]) {
-				continue
-			}
-			sc.meter.BytesVerified += int64(alive) * 8
-			alive = geom.FilterDim(rel, r.Lo[dd], r.Hi[dd], q.Min[dd], q.Max[dd], bits)
-			if alive == 0 {
-				break
-			}
-		}
-		if alive == 0 {
-			continue
-		}
-		sc.meter.Results += int64(alive)
-		sc.perQ[qi] = geom.AppendSurvivors(sc.perQ[qi], r.IDs, bits)
-	}
+	return sc.Explore(p, e.sigBounds[int(ci)*stride:(int(ci)+1)*stride], r.IDs, r.Lo, r.Hi, emit, dst, &sc.meter)
 }

@@ -11,11 +11,14 @@
 // and becomes visible on the next checkpoint (reopening the checkpoint
 // starts a fresh cache generation, so nothing stale survives).
 //
-// The query path mirrors the in-memory core engine's columnar design:
+// The query path is the in-memory core engine's read phase over a different
+// column source: every selection is a batch, and a single query is a batch
+// of one.
 //
 //   - The signature pass scans a flat contiguous mirror of all directory
-//     signatures (sig.MatchBounds) instead of calling the per-entry virtual
-//     matcher — the A term is one linear pass over packed floats.
+//     signatures once for the whole batch (sig.MatchBoundsBatch, which runs
+//     sig.MatchBounds for a batch of one) instead of calling the per-entry
+//     virtual matcher — the A term is one linear pass over packed floats.
 //   - Explored regions come from a fixed-budget cache of decoded
 //     structure-of-arrays columns (internal/blockcache), keyed by
 //     (checkpoint generation, cluster) and shared by concurrent searches
@@ -28,20 +31,20 @@
 //     multi-cluster query pays one seek per run instead of one per cluster.
 //     Each coalesced run charges one Seek and its full byte length
 //     (gaps included) as BytesTransferred, plus one CacheMiss per region.
-//   - Verification runs through the columnar batch kernels
-//     (geom.FilterIntersects/FilterContainedBy/FilterEncloses) over a pooled
-//     candidate bitmap, most selective dimensions first, with
-//     signature-implied column skips — identical accounting to the core
-//     engine (BytesVerified aggregates per-column survivor bytes).
+//   - Each explored region is verified against every query interested in
+//     it by sig.Scan.Explore, the code the core engine runs: the columnar
+//     kernels over a pooled candidate bitmap, most selective dimensions
+//     first, with signature-implied column skips — so the accounting is the
+//     core engine's by construction (BytesVerified aggregates per-column
+//     survivor bytes).
 //
 // Steady-state queries whose regions are all cached allocate nothing: the
-// match list, bitmap, dimension order and read plan live in pooled per-query
-// scratch, and SearchIDsAppend reuses the caller's result buffer.
+// match, bitmap, dimension orders and read plan live in pooled scratch, and
+// SearchIDsAppend appends straight to the caller's result buffer.
 package diskengine
 
 import (
 	"fmt"
-	mbits "math/bits"
 	"sync"
 
 	"accluster/internal/blockcache"
@@ -99,38 +102,25 @@ type Engine struct {
 	gen       uint64
 	maxGap    int64
 	meter     cost.SyncMeter
-	scratch   sync.Pool // *searchScratch
+	scratch   sync.Pool // *batchScratch
 }
 
-// searchScratch holds the per-query buffers of one in-flight selection so
-// the fully cached (hit) path allocates nothing.
+// batchScratch holds the buffers of one in-flight read phase so the fully
+// cached (hit) path allocates nothing.
 //
 //ac:scratch
-type searchScratch struct {
-	matched []int32         // signature-matching cluster positions
-	miss    []int32         // matched positions absent from the cache
-	runs    []store.ReadRun // coalesced read plan over miss
-	buf     []byte          // device image of the run being processed
-	bits    []uint64        // candidate bitmap for the filter kernels
-	order   []int           // per-query dimension processing order
-	widths  []float32       // sort keys backing order
+type batchScratch struct {
+	sig.Scan
+	one [1]geom.Rect // the query slice of a batch of one
+
+	miss []int32         // matched positions absent from the cache (each once)
+	runs []store.ReadRun // coalesced read plan over miss
+	buf  []byte          // device image of the run being processed
 	// local is the decode target reused across misses when the engine has
 	// no cache (with a cache, each miss decodes into a fresh Region that
 	// the cache may retain).
 	local *blockcache.Region
 	meter cost.Meter
-}
-
-// ensureBits returns the bitmap sized for n objects.
-//
-//ac:noalloc
-func (sc *searchScratch) ensureBits(n int) []uint64 {
-	w := geom.BitmapWords(n)
-	if cap(sc.bits) < w {
-		//acvet:ignore noalloc amortized scratch growth; no alloc once bits reaches dataset size
-		sc.bits = make([]uint64, w)
-	}
-	return sc.bits[:w]
 }
 
 // Open reads and validates the directory of a database written by
@@ -176,7 +166,7 @@ func OpenConfig(dev store.Device, cfg Config) (*Engine, error) {
 	if e.maxGap == 0 {
 		e.maxGap = DefaultReadaheadGap
 	}
-	e.scratch.New = func() any { return &searchScratch{} }
+	e.scratch.New = func() any { return &batchScratch{} }
 	return e, nil
 }
 
@@ -218,23 +208,26 @@ func (e *Engine) CacheStats() blockcache.Stats {
 // Cached clusters are verified first (no I/O), then the misses in device
 // offset order; the emission order across clusters is therefore
 // unspecified. emit returning false stops the search: remaining regions are
-// neither read nor charged. Concurrent Searches are safe and share cached
+// neither read nor charged. On an error, emit may already have received
+// some qualifying ids. Concurrent Searches are safe and share cached
 // regions without copying.
 //
 //ac:noalloc
 func (e *Engine) Search(q geom.Rect, rel geom.Relation, emit func(id uint32) bool) error {
-	return e.search(q, rel, emit, nil, nil)
+	return e.searchOne(q, rel, emit, nil)
 }
 
-// Count returns the number of objects satisfying the selection. It sums the
-// per-region survivor counts of the block scan directly — no ids are
-// extracted, no closure is allocated.
+// Count returns the number of objects satisfying the selection, or 0 with
+// an error. It sums the per-region survivor counts of the block scan
+// directly — no ids are extracted, no closure is allocated.
 //
 //ac:noalloc
 func (e *Engine) Count(q geom.Rect, rel geom.Relation) (int, error) {
-	n := 0
-	err := e.search(q, rel, nil, nil, &n)
-	return n, err
+	var out sig.Sink
+	if err := e.searchOne(q, rel, nil, &out); err != nil {
+		return 0, err
+	}
+	return out.Count, nil
 }
 
 // SearchIDs collects the identifiers of all qualifying objects.
@@ -243,20 +236,25 @@ func (e *Engine) SearchIDs(q geom.Rect, rel geom.Relation) ([]uint32, error) {
 }
 
 // SearchIDsAppend appends the identifiers of all qualifying objects to dst
-// and returns the extended slice. With a reused dst of sufficient capacity a
+// and returns the extended slice; on an error it returns dst as passed, with
+// no partial answer appended. With a reused dst of sufficient capacity a
 // fully cached selection allocates nothing.
 //
 //ac:noalloc
 func (e *Engine) SearchIDsAppend(dst []uint32, q geom.Rect, rel geom.Relation) ([]uint32, error) {
-	err := e.search(q, rel, nil, &dst, nil)
-	return dst, err
+	ids := [1][]uint32{dst}
+	out := sig.Sink{IDs: ids[:]}
+	if err := e.searchOne(q, rel, nil, &out); err != nil {
+		return dst, err
+	}
+	return ids[0], nil
 }
 
-// search is the shared query path; qualifying ids go to exactly one of emit
-// (early-stop support), out (append) or count.
+// searchOne runs one query as a batch of one, delivering its answer to emit,
+// or to dst when emit is nil.
 //
 //ac:noalloc
-func (e *Engine) search(q geom.Rect, rel geom.Relation, emit func(id uint32) bool, out *[]uint32, count *int) error {
+func (e *Engine) searchOne(q geom.Rect, rel geom.Relation, emit func(id uint32) bool, dst *sig.Sink) error {
 	if q.Dims() != e.dims {
 		//acvet:ignore noalloc cold argument-validation failure path
 		return fmt.Errorf("diskengine: query has %d dims, database has %d", q.Dims(), e.dims)
@@ -265,158 +263,10 @@ func (e *Engine) search(q geom.Rect, rel geom.Relation, emit func(id uint32) boo
 		//acvet:ignore noalloc cold argument-validation failure path
 		return fmt.Errorf("diskengine: invalid relation %v", rel)
 	}
-	sc := e.scratch.Get().(*searchScratch)
-	sc.meter = cost.Meter{}
-	sc.meter.Queries++
-	sc.meter.SigChecks += int64(len(e.dir))
-	sc.matched = sig.MatchBounds(e.sigBounds, len(e.dir), e.dims, q, rel, sc.matched[:0])
-	if cap(sc.order) < e.dims {
-		//acvet:ignore noalloc amortized scratch growth; no alloc once order fits query dims
-		sc.order = make([]int, e.dims)
-		//acvet:ignore noalloc amortized scratch growth; no alloc once widths fits query dims
-		sc.widths = make([]float32, e.dims)
-	}
-	order := geom.QueryDimOrder(sc.order[:e.dims], sc.widths[:e.dims], q, rel)
-
-	// Hit pass: verify every cached region first — free of I/O, so an
-	// early stop may finish the query without touching the device. Misses
-	// are deferred to the coalesced read pass.
-	sc.miss = sc.miss[:0]
-	stopped := false
-	for _, ci := range sc.matched {
-		if e.cache != nil {
-			if r, ok := e.cache.Get(blockcache.Key{Gen: e.gen, Cluster: ci}); ok {
-				sc.meter.CacheHits++
-				sc.meter.Explorations++
-				sc.meter.ObjectsVerified += int64(r.Len())
-				keep := e.verifyRegion(sc, r, int(ci), q, rel, order, emit, out, count)
-				e.cache.Unpin(r)
-				if !keep {
-					stopped = true
-					break
-				}
-				continue
-			}
-		}
-		sc.miss = append(sc.miss, ci)
-	}
-	var err error
-	if !stopped && len(sc.miss) > 0 {
-		err = e.readAndVerify(sc, q, rel, order, emit, out, count)
-	}
-	e.meter.Merge(sc.meter)
+	sc := e.scratch.Get().(*batchScratch)
+	sc.one[0] = q
+	err := e.read(sc, sc.one[:], rel, emit, dst)
+	sc.one[0] = geom.Rect{}
 	e.scratch.Put(sc)
 	return err
-}
-
-// readAndVerify runs the miss pass: plan coalesced reads over the missed
-// regions (sorted by device offset), then read run by run, decoding and
-// verifying each region as it arrives — an early stop leaves later runs
-// unread and uncharged. Decoded regions are offered to the cache.
-//
-//ac:noalloc
-func (e *Engine) readAndVerify(sc *searchScratch, q geom.Rect, rel geom.Relation, order []int, emit func(id uint32) bool, out *[]uint32, count *int) error {
-	sc.runs = store.PlanReadRuns(e.dir, sc.miss, e.dims, e.maxGap, sc.runs[:0])
-	for _, run := range sc.runs {
-		if int64(cap(sc.buf)) < run.Bytes {
-			//acvet:ignore noalloc amortized read-buffer growth to the largest coalesced run
-			sc.buf = make([]byte, run.Bytes)
-		}
-		buf := sc.buf[:run.Bytes]
-		if _, err := e.dev.ReadAt(buf, run.Offset); err != nil {
-			//acvet:ignore noalloc cold device-failure path
-			return fmt.Errorf("diskengine: read run at %d: %w", run.Offset, err)
-		}
-		sc.meter.Seeks++
-		sc.meter.BytesTransferred += run.Bytes
-		for k := 0; k < run.N; k++ {
-			ci := sc.miss[run.First+k]
-			ent := e.dir[ci]
-			img := buf[ent.Offset-run.Offset : ent.Offset-run.Offset+int64(ent.RegionBytes(e.dims))]
-			var r *blockcache.Region
-			if e.cache != nil {
-				//acvet:ignore noalloc cache-miss region insert; the pinned warm path is all hits
-				r = new(blockcache.Region)
-			} else {
-				if sc.local == nil {
-					//acvet:ignore noalloc one-time lazy init of the cacheless scratch region
-					sc.local = new(blockcache.Region)
-				}
-				r = sc.local
-			}
-			r.Reset(ent.Count, e.dims)
-			if err := store.DecodeRegionColumns(img, ent, e.dims, r.IDs, r.Lo, r.Hi); err != nil {
-				return err
-			}
-			if e.cache != nil {
-				sc.meter.CacheMisses++
-				r = e.cache.Put(blockcache.Key{Gen: e.gen, Cluster: ci}, r)
-			}
-			sc.meter.Explorations++
-			sc.meter.ObjectsVerified += int64(ent.Count)
-			keep := e.verifyRegion(sc, r, int(ci), q, rel, order, emit, out, count)
-			if e.cache != nil {
-				e.cache.Unpin(r)
-			}
-			if !keep {
-				return nil
-			}
-		}
-	}
-	return nil
-}
-
-// verifyRegion narrows the region's members through the columnar filter
-// kernels and delivers the survivors; it reports whether the search should
-// continue (false only when emit stopped it).
-//
-//ac:noalloc
-func (e *Engine) verifyRegion(sc *searchScratch, r *blockcache.Region, ci int, q geom.Rect, rel geom.Relation, order []int, emit func(id uint32) bool, out *[]uint32, count *int) bool {
-	n := r.Len()
-	if n == 0 {
-		return true
-	}
-	bits := sc.ensureBits(n)
-	geom.InitBitmap(bits, n)
-	alive := n
-	stride := 4 * e.dims
-	sb := e.sigBounds[ci*stride : (ci+1)*stride]
-	for _, dd := range order {
-		// Signature-implied skip: the cluster's variation intervals prove
-		// every member passes this dimension, so the column scan is a
-		// no-op (sig.BoundsImplyDim, shared with the in-memory engine).
-		if sig.BoundsImplyDim(rel, sb, dd, q.Min[dd], q.Max[dd]) {
-			continue
-		}
-		sc.meter.BytesVerified += int64(alive) * 8
-		alive = geom.FilterDim(rel, r.Lo[dd], r.Hi[dd], q.Min[dd], q.Max[dd], bits)
-		if alive == 0 {
-			break
-		}
-	}
-	if alive == 0 {
-		return true
-	}
-	if count != nil {
-		sc.meter.Results += int64(alive)
-		*count += alive
-		return true
-	}
-	if out != nil {
-		sc.meter.Results += int64(alive)
-		*out = geom.AppendSurvivors(*out, r.IDs, bits)
-		return true
-	}
-	for w, word := range bits {
-		base := w << 6
-		for word != 0 {
-			j := mbits.TrailingZeros64(word)
-			word &= word - 1
-			sc.meter.Results++
-			if !emit(r.IDs[base+j]) {
-				return false
-			}
-		}
-	}
-	return true
 }

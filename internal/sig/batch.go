@@ -4,6 +4,7 @@ import (
 	mbits "math/bits"
 	"sort"
 
+	"accluster/internal/cost"
 	"accluster/internal/geom"
 )
 
@@ -24,12 +25,15 @@ import (
 
 // BatchQueries is the query-coordinate SoA of one batched selection: for each
 // dimension d, LoCol[d·N+i] and HiCol[d·N+i] hold query i's interval in that
-// dimension. When every rectangle is a point (Min == Max in every dimension,
-// no NaNs), Points is set and Key/Perm additionally hold, per dimension, the
-// batch's coordinates in ascending order with the original query index of
-// each — the sorted view the point kernel binary-searches instead of running
-// columnar passes. The sort is what batching buys: its cost is paid once per
-// batch and amortizes over every signature in the mirror.
+// dimension. When the batch holds more than one query and every rectangle is
+// a point (Min == Max in every dimension, no NaNs), Points is set and
+// Key/Perm additionally hold, per dimension, the batch's coordinates in
+// ascending order with the original query index of each — the sorted view
+// the point kernel binary-searches instead of running columnar passes. The
+// sort is what batching buys: its cost is paid once per batch and amortizes
+// over every signature in the mirror. A batch of one has nothing to
+// amortize it over (MatchBoundsBatch scans it with MatchBounds), so it
+// builds no sorted view.
 //
 //ac:scratch
 type BatchQueries struct {
@@ -79,8 +83,8 @@ func (bq *BatchQueries) Reset(qs []geom.Rect, dims int) {
 			}
 		}
 	}
-	bq.Points = points
-	if !points {
+	bq.Points = points && n > 1
+	if !bq.Points {
 		return
 	}
 	if cap(bq.Key) < dims*n {
@@ -249,12 +253,23 @@ func matchQueryTail(rel geom.Relation, b []float32, bq *BatchQueries, qi, d0 int
 // query columns per dimension) while more than a quarter of the batch survives,
 // then switches to scalar completion of the surviving queries with the
 // single-query early exit — the shape that wins when dimensions are
-// selective and most of the batch dies in the first pass.
+// selective and most of the batch dies in the first pass. A batch of one
+// runs MatchBounds instead: its query columns are the rectangle's own
+// bounds, and one-lane columnar passes would cost a kernel call per
+// dimension of every signature.
 //
 //ac:noalloc
 func MatchBoundsBatch(sb []float32, n, dims int, bq *BatchQueries, rel geom.Relation, sel []uint8, bits []uint64, out *BatchMatch) {
 	out.Reset()
 	if bq.N == 0 {
+		return
+	}
+	if bq.N == 1 {
+		out.Clusters = MatchBounds(sb, n, dims, geom.Rect{Min: bq.LoCol, Max: bq.HiCol}, rel, out.Clusters)
+		for i := range out.Clusters {
+			out.QIdx = append(out.QIdx, 0)
+			out.QOff = append(out.QOff, int32(i+1))
+		}
 		return
 	}
 	if bq.Points {
@@ -295,6 +310,165 @@ func MatchBoundsBatch(sb []float32, n, dims int, bq *BatchQueries, rel geom.Rela
 			out.Clusters = append(out.Clusters, int32(ci))
 			out.QOff = append(out.QOff, int32(len(out.QIdx)))
 		}
+	}
+}
+
+// Sink collects the survivors of every verified (cluster, query) pair of a
+// read phase that has no emit callback: query i's survivors are appended to
+// IDs[i] when IDs is set, and otherwise only counted into Count, so a count
+// builds no id list. The emit callback travels as its own parameter: as a
+// Sink field it would share the escape of the IDs arena, moving every
+// variable a caller's closure captures to the heap.
+type Sink struct {
+	IDs   [][]uint32
+	Count int
+}
+
+// Scan is the read phase both engines share, in the pooled scratch of each:
+// the batch set-up (Prepare) and the verification of one explored cluster
+// against each query interested in it (Explore). The in-memory index and
+// the disk engine run every selection through it — a single query is a
+// batch of one — and differ only in where a cluster's columns come from, in
+// the I/O they charge and in how they publish statistics.
+//
+//ac:scratch
+type Scan struct {
+	Q     BatchQueries // query-coordinate SoA of the batch
+	Match BatchMatch   // cluster-major signature matches
+
+	rel    geom.Relation
+	qbits  []uint64   // query-survivor bitmap of the signature pass
+	orders []int      // flat N×dims per-query dimension orders
+	widths []float32  // sort keys backing orders
+	bits   []uint64   // member-verification bitmap
+	perQ   [][]uint32 // per-query id accumulators (Accumulate)
+}
+
+// Prepare is the batch set-up: it loads the query columns, matches them
+// against the n signatures of the flat mirror sb in one pass
+// (MatchBoundsBatch; sel is the mirror's selector side array) and orders
+// each query's dimensions most-selective-first for verification. Every
+// query must have dims dimensions and rel must be valid; the caller
+// validates.
+//
+//ac:noalloc
+func (s *Scan) Prepare(sb []float32, n, dims int, sel []uint8, qs []geom.Rect, rel geom.Relation) {
+	nq := len(qs)
+	s.rel = rel
+	s.Q.Reset(qs, dims)
+	qw := geom.BitmapWords(nq)
+	if cap(s.qbits) < qw {
+		//acvet:ignore noalloc amortized scratch growth; no alloc once qbits covers the batch size
+		s.qbits = make([]uint64, qw)
+	}
+	MatchBoundsBatch(sb, n, dims, &s.Q, rel, sel, s.qbits[:qw], &s.Match)
+	if cap(s.orders) < nq*dims {
+		//acvet:ignore noalloc amortized scratch growth; no alloc once orders covers the batch size
+		s.orders = make([]int, 0, nq*dims)
+		//acvet:ignore noalloc amortized scratch growth; no alloc once widths covers the batch size
+		s.widths = make([]float32, 0, nq*dims)
+	}
+	s.orders, s.widths = s.orders[:nq*dims], s.widths[:nq*dims]
+	for qi := range qs {
+		geom.QueryDimOrder(s.orders[qi*dims:qi*dims+dims], s.widths[qi*dims:qi*dims+dims], qs[qi], rel)
+	}
+}
+
+// Explore verifies the members of matched cluster p of the prepared batch —
+// ids, with coordinate columns lo[d] and hi[d] and signature bounds block
+// b — against every query interested in it, in ascending query order, and
+// delivers each query's survivors: one at a time, in member order, to emit
+// when it is non-nil (only a batch of one carries one), otherwise to dst.
+// Per (cluster, query) pair it charges m.Explorations and
+// m.ObjectsVerified; the columns are walked in the query's dimension order,
+// a dimension the signature proves for every member (BoundsImplyDim) is
+// skipped, every other charges m.BytesVerified 8 bytes per member still
+// alive and narrows the bitmap, and the walk stops at zero survivors; each
+// survivor delivered charges m.Results. Explore reports false once emit
+// returned false, which stops the read phase.
+//
+//ac:noalloc
+func (s *Scan) Explore(p int, b []float32, ids []uint32, lo, hi [][]float32, emit func(id uint32) bool, dst *Sink, m *cost.Meter) bool {
+	interested := s.Match.QIdx[s.Match.QOff[p]:s.Match.QOff[p+1]]
+	n := len(ids)
+	m.Explorations += int64(len(interested))
+	m.ObjectsVerified += int64(len(interested)) * int64(n)
+	if n == 0 {
+		return true
+	}
+	words := geom.BitmapWords(n)
+	if cap(s.bits) < words {
+		//acvet:ignore noalloc amortized scratch growth; no alloc once bits reaches the largest cluster
+		s.bits = make([]uint64, words)
+	}
+	bits := s.bits[:words]
+	rel, nq, dims := s.rel, s.Q.N, s.Q.Dims
+	loCol, hiCol, orders := s.Q.LoCol, s.Q.HiCol, s.orders
+	for _, q32 := range interested {
+		qi := int(q32)
+		geom.InitBitmap(bits, n)
+		alive := n
+		for _, d := range orders[qi*dims : qi*dims+dims] {
+			qlo, qhi := loCol[d*nq+qi], hiCol[d*nq+qi]
+			if BoundsImplyDim(rel, b, d, qlo, qhi) {
+				continue
+			}
+			m.BytesVerified += int64(alive) * 8
+			if alive = geom.FilterDim(rel, lo[d], hi[d], qlo, qhi, bits); alive == 0 {
+				break
+			}
+		}
+		switch {
+		case alive == 0:
+		case emit != nil:
+			for w, word := range bits {
+				base := w << 6
+				for word != 0 {
+					j := mbits.TrailingZeros64(word)
+					word &= word - 1
+					m.Results++
+					if !emit(ids[base+j]) {
+						return false
+					}
+				}
+			}
+		case dst.IDs != nil:
+			m.Results += int64(alive)
+			dst.IDs[qi] = geom.AppendSurvivors(dst.IDs[qi], ids, bits)
+		default:
+			m.Results += int64(alive)
+			dst.Count += alive
+		}
+	}
+	return true
+}
+
+// Accumulate returns an IDs sink with one empty accumulator per query of a
+// batch of nq, reusing the scan's buffers; Collect gathers them.
+//
+//ac:noalloc
+func (s *Scan) Accumulate(nq int) Sink {
+	if cap(s.perQ) < nq {
+		//acvet:ignore noalloc amortized scratch growth; no alloc once perQ covers the batch size
+		next := make([][]uint32, nq)
+		copy(next, s.perQ)
+		s.perQ = next
+	}
+	s.perQ = s.perQ[:nq]
+	for i := range s.perQ {
+		s.perQ[i] = s.perQ[i][:0]
+	}
+	return Sink{IDs: s.perQ}
+}
+
+// Collect concatenates the accumulators of the last Accumulate into dst,
+// which must be Reset for the same number of queries.
+//
+//ac:noalloc
+func (s *Scan) Collect(dst *geom.IDBatch) {
+	for qi, ids := range s.perQ {
+		dst.IDs = append(dst.IDs, ids...)
+		dst.Off[qi+1] = int32(len(dst.IDs))
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 
 	"accluster/internal/analysis"
 	"accluster/internal/core"
+	"accluster/internal/cost"
 	"accluster/internal/geom"
 	"accluster/internal/sig"
 	"accluster/internal/telemetry"
@@ -169,6 +170,15 @@ func TestNoAllocAnnotatedPaths(t *testing.T) {
 	var bm sig.BatchMatch
 	qbits := make([]uint64, geom.BitmapWords(len(qs4)))
 
+	// Shared read-phase fixtures: a scan over the 16-signature mirror, with
+	// the 256-object column pair as every dimension of one cluster.
+	var scan sig.Scan
+	var scanSink sig.Sink
+	var scanMeter cost.Meter
+	var scanIDB geom.IDBatch
+	scanLo := [][]float32{lo, lo, lo, lo}
+	scanHi := [][]float32{hi, hi, hi, hi}
+
 	emit := func(id uint32) bool { return true }
 	var runErr error
 	entries := []noallocEntry{
@@ -184,6 +194,13 @@ func TestNoAllocAnnotatedPaths(t *testing.T) {
 		{"accluster/internal/sig.BatchQueries.Reset", func() { bq.Reset(qs4, 4) }},
 		{"accluster/internal/sig.BatchMatch.Reset", func() { bm.Reset() }},
 		{"accluster/internal/sig.MatchBoundsBatch", func() { sig.MatchBoundsBatch(sb, 16, 4, &bq, Intersects, nil, qbits, &bm) }},
+		{"accluster/internal/sig.Scan.Prepare", func() { scan.Prepare(sb, 16, 4, nil, qs4, Intersects) }},
+		{"accluster/internal/sig.Scan.Explore", func() { scan.Explore(0, sb[:16], kids, scanLo, scanHi, nil, &scanSink, &scanMeter) }},
+		{"accluster/internal/sig.Scan.Accumulate", func() { _ = scan.Accumulate(len(qs4)) }},
+		{"accluster/internal/sig.Scan.Collect", func() {
+			scanIDB.Reset(len(qs4))
+			scan.Collect(&scanIDB)
+		}},
 		{"accluster/internal/geom.IDBatch.Reset", func() { idb.Reset(8) }},
 		{"accluster/internal/geom.IDBatch.Queries", func() { _ = idb.Queries() }},
 		{"accluster/internal/geom.IDBatch.Query", func() { _ = idb.Query(0) }},
