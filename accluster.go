@@ -2,15 +2,13 @@ package accluster
 
 import (
 	"fmt"
-	"sync"
-	"time"
 
 	"accluster/internal/core"
 	"accluster/internal/cost"
 	"accluster/internal/geom"
 	"accluster/internal/rstar"
 	"accluster/internal/seqscan"
-	"accluster/internal/telemetry"
+	"accluster/internal/shard"
 )
 
 // Rect is a multidimensional extended object: a closed interval
@@ -128,25 +126,11 @@ type Index interface {
 // phase and published opportunistically afterwards (core.TryDrainStats):
 // readers never wait on statistics publication or reorganization
 // maintenance — both run under brief exclusive acquisitions between
-// queries.
+// queries. The lock, the publication and the background drainer are those
+// of every shard of Sharded: one locked index type serves both.
 type Adaptive struct {
-	mu sync.RWMutex
-	ix *core.Index
-
-	// Background reorganization (WithBackgroundReorg): queries signal
-	// wake, the drainer goroutine takes mu once per bounded step, Close
-	// stops it. All nil/zero when the option is off.
-	wake      chan struct{}
-	done      chan struct{}
-	wg        sync.WaitGroup
-	closeOnce sync.Once
-
-	// Flight recorder (WithTelemetry / WithTelemetryAddr): qhist records
-	// per-query latency — one atomic add per query, nil when telemetry is
-	// off; tel is closed by Close only when this engine owns it.
-	tel    *Telemetry
-	ownTel bool
-	qhist  *telemetry.Histogram
+	l *shard.Locked
+	engineTelemetry
 }
 
 // NewAdaptive builds an adaptive clustering index for the given
@@ -164,12 +148,7 @@ func NewAdaptive(dims int, opts ...Option) (*Adaptive, error) {
 	if err != nil {
 		return nil, err
 	}
-	a := newAdaptive(ix)
-	if err := a.initTelemetry(o); err != nil {
-		a.Close()
-		return nil, err
-	}
-	return a, nil
+	return newAdaptive(ix, o)
 }
 
 // coreConfig maps the gathered options onto a core engine configuration.
@@ -186,93 +165,32 @@ func coreConfig(dims int, o options) core.Config {
 	}
 }
 
-// newAdaptive wraps a core index, starting the background drainer when the
-// index was configured for it.
-func newAdaptive(ix *core.Index) *Adaptive {
-	a := &Adaptive{ix: ix}
-	if ix.Config().BackgroundReorg {
-		a.wake = make(chan struct{}, 1)
-		a.done = make(chan struct{})
-		a.wg.Add(1)
-		go a.reorgLoop()
+// newAdaptive puts a core index behind its lock (starting the background
+// drainer when the index was configured for it) and attaches telemetry.
+func newAdaptive(ix *core.Index, o options) (*Adaptive, error) {
+	a := &Adaptive{l: shard.NewLocked(ix)}
+	if err := a.initTelemetry(o); err != nil {
+		a.Close()
+		return nil, err
 	}
-	return a
-}
-
-// reorgLoop drains pending reorganization work one budgeted step per lock
-// acquisition, so in-flight queries interleave with maintenance instead of
-// stalling behind a full pass.
-func (a *Adaptive) reorgLoop() {
-	defer a.wg.Done()
-	for {
-		select {
-		case <-a.done:
-			return
-		case <-a.wake:
-		}
-		for {
-			a.mu.Lock()
-			more := a.ix.ReorgStep()
-			a.mu.Unlock()
-			if !more {
-				break
-			}
-			select {
-			case <-a.done:
-				return
-			default:
-			}
-		}
-	}
-}
-
-// notifyReorg wakes the background drainer (non-blocking; a pending wake-up
-// already covers the new work).
-func (a *Adaptive) notifyReorg(pending bool) {
-	if pending && a.wake != nil {
-		select {
-		case a.wake <- struct{}{}:
-		default:
-		}
-	}
-}
-
-// publishStats runs a query's publication phase: apply the queued
-// statistics deltas under a brief exclusive acquisition when the lock is
-// free (blocking only once the backlog hits core.StatsBacklogMax), and wake
-// the background drainer when maintenance — reorganization work or an
-// unapplied backlog — is pending. Readers therefore never wait on
-// publication; a delta a query leaves behind is applied by the next
-// exclusive holder, whoever that is.
-func (a *Adaptive) publishStats() {
-	pending := a.ix.TryDrainStats(&a.mu)
-	a.notifyReorg(pending || a.ix.StatsBacklog() > 0)
+	return a, nil
 }
 
 // Close stops the background reorganization goroutine (no-op without
-// WithBackgroundReorg). The index stays usable afterwards; pending
+// WithBackgroundReorg) and, when the engine owns its flight recorder
+// (WithTelemetryAddr), the telemetry sampler and endpoint. It is idempotent
+// and safe to call concurrently. The index stays usable afterwards; pending
 // reorganization work is picked up by the normal schedule of a future
 // Reorganize call.
 func (a *Adaptive) Close() error {
-	a.closeOnce.Do(func() {
-		if a.done != nil {
-			close(a.done)
-			a.wg.Wait()
-		}
-		if a.ownTel && a.tel != nil {
-			_ = a.tel.Close()
-		}
-	})
+	a.l.Close()
+	a.closeTelemetry()
 	return nil
 }
 
 // Insert adds an object (placed into the matching cluster with the lowest
 // access probability).
-func (a *Adaptive) Insert(id uint32, r Rect) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.ix.Insert(id, r)
-}
+func (a *Adaptive) Insert(id uint32, r Rect) error { return a.l.Insert(id, r) }
 
 // InsertBatch bulk-loads a batch of objects under a single lock
 // acquisition. On error the batch may be partially applied; objects
@@ -281,39 +199,27 @@ func (a *Adaptive) InsertBatch(ids []uint32, rects []Rect) error {
 	if len(ids) != len(rects) {
 		return fmt.Errorf("accluster: batch has %d ids but %d rectangles", len(ids), len(rects))
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for k := range ids {
-		if err := a.ix.Insert(ids[k], rects[k]); err != nil {
-			return err
+	return a.l.Exclusive(func(ix *core.Index) error {
+		for k := range ids {
+			if err := ix.Insert(ids[k], rects[k]); err != nil {
+				return err
+			}
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // Update replaces the rectangle stored under id, relocating the object to
 // the matching cluster with the lowest access probability; it returns an
 // error wrapping ErrNotFound if the id is absent.
-func (a *Adaptive) Update(id uint32, r Rect) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.ix.Update(id, r)
-}
+func (a *Adaptive) Update(id uint32, r Rect) error { return a.l.Update(id, r) }
 
 // Delete removes an object, reporting whether it existed.
-func (a *Adaptive) Delete(id uint32) bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.ix.Delete(id)
-}
+func (a *Adaptive) Delete(id uint32) bool { return a.l.Delete(id) }
 
 // Get returns the rectangle stored under id. Concurrent Gets (and searches)
 // run in parallel (shared lock).
-func (a *Adaptive) Get(id uint32) (Rect, bool) {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	return a.ix.Get(id)
-}
+func (a *Adaptive) Get(id uint32) (Rect, bool) { return a.l.Get(id) }
 
 // Search executes a spatial selection. Concurrent searches run in parallel
 // (shared lock); the query's statistics updates are recorded during the
@@ -322,19 +228,9 @@ func (a *Adaptive) Get(id uint32) (Rect, bool) {
 //
 //ac:noalloc
 func (a *Adaptive) Search(q Rect, rel Relation, emit func(id uint32) bool) error {
-	// Latency capture is branch-guarded rather than deferred so the warm
-	// path stays allocation-free with telemetry on.
-	var t0 time.Time
-	if a.qhist != nil {
-		t0 = time.Now()
-	}
-	a.mu.RLock()
-	err := a.ix.SearchRead(q, rel, emit)
-	a.mu.RUnlock()
-	a.publishStats()
-	if a.qhist != nil {
-		a.qhist.Record(int64(time.Since(t0)))
-	}
+	t0 := a.begin()
+	err := a.l.Search(q, rel, emit)
+	a.end(t0)
 	return err
 }
 
@@ -349,17 +245,9 @@ func (a *Adaptive) SearchIDs(q Rect, rel Relation) ([]uint32, error) {
 //
 //ac:noalloc
 func (a *Adaptive) SearchIDsAppend(dst []uint32, q Rect, rel Relation) ([]uint32, error) {
-	var t0 time.Time
-	if a.qhist != nil {
-		t0 = time.Now()
-	}
-	a.mu.RLock()
-	ids, err := a.ix.SearchIDsAppendRead(dst, q, rel)
-	a.mu.RUnlock()
-	a.publishStats()
-	if a.qhist != nil {
-		a.qhist.Record(int64(time.Since(t0)))
-	}
+	t0 := a.begin()
+	ids, err := a.l.SearchIDsAppend(dst, q, rel)
+	a.end(t0)
 	return ids, err
 }
 
@@ -378,17 +266,9 @@ func (a *Adaptive) SearchIDsBatch(dst *BatchResult, qs []Rect, rel Relation) (*B
 		//acvet:ignore noalloc nil-dst convenience; steady-state callers pass a reused BatchResult
 		dst = new(BatchResult)
 	}
-	var t0 time.Time
-	if a.qhist != nil {
-		t0 = time.Now()
-	}
-	a.mu.RLock()
-	err := a.ix.SearchBatchRead(&dst.b, qs, rel)
-	a.mu.RUnlock()
-	a.publishStats()
-	if a.qhist != nil {
-		a.qhist.Record(int64(time.Since(t0)))
-	}
+	t0 := a.begin()
+	err := a.l.SearchIDsBatch(&dst.b, qs, rel)
+	a.end(t0)
 	return dst, err
 }
 
@@ -397,195 +277,71 @@ func (a *Adaptive) SearchIDsBatch(dst *BatchResult, qs []Rect, rel Relation) (*B
 //
 //ac:noalloc
 func (a *Adaptive) Count(q Rect, rel Relation) (int, error) {
-	var t0 time.Time
-	if a.qhist != nil {
-		t0 = time.Now()
-	}
-	a.mu.RLock()
-	n, err := a.ix.CountRead(q, rel)
-	a.mu.RUnlock()
-	a.publishStats()
-	if a.qhist != nil {
-		a.qhist.Record(int64(time.Since(t0)))
-	}
+	t0 := a.begin()
+	n, err := a.l.Count(q, rel)
+	a.end(t0)
 	return n, err
 }
 
 // Len returns the number of stored objects.
-func (a *Adaptive) Len() int {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	return a.ix.Len()
-}
+func (a *Adaptive) Len() int { return a.l.Len() }
 
 // Dims returns the data space dimensionality.
-func (a *Adaptive) Dims() int { return a.ix.Dims() }
+func (a *Adaptive) Dims() int { return a.l.Dims() }
 
 // Clusters returns the number of materialized clusters.
-func (a *Adaptive) Clusters() int {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	return a.ix.Clusters()
-}
+func (a *Adaptive) Clusters() int { return a.l.Clusters() }
 
 // Reorganize forces a reorganization round (normally triggered
 // automatically every ReorgEvery queries).
-func (a *Adaptive) Reorganize() {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.ix.Reorganize()
-}
+func (a *Adaptive) Reorganize() { a.l.Reorganize() }
 
 // ReorgRounds returns the number of reorganization rounds executed.
-func (a *Adaptive) ReorgRounds() int64 {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	return a.ix.ReorgRounds()
-}
+func (a *Adaptive) ReorgRounds() int64 { return a.l.Info().ReorgRounds }
 
 // Splits returns the number of cluster materializations performed.
-func (a *Adaptive) Splits() int64 {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	return a.ix.Splits()
-}
+func (a *Adaptive) Splits() int64 { return a.l.Info().Splits }
 
 // Merges returns the number of cluster merge operations performed.
-func (a *Adaptive) Merges() int64 {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	return a.ix.Merges()
-}
+func (a *Adaptive) Merges() int64 { return a.l.Info().Merges }
 
 // Stats returns a snapshot of the operation counters. The counters are
 // merged race-free per query, so the snapshot is consistent even while
 // searches are in flight.
 func (a *Adaptive) Stats() Stats {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	return statsFrom(a.ix.Meter(), a.ix.Len(), a.ix.Clusters(), a.ix.Dims())
+	in := a.l.Info()
+	return statsFrom(in.Meter, in.Objects, in.Clusters, a.l.Dims())
 }
 
 // ResetStats zeroes the operation counters (clustering statistics are kept).
-func (a *Adaptive) ResetStats() {
-	a.ix.ResetMeter()
-}
+func (a *Adaptive) ResetStats() { a.l.ResetMeter() }
 
 // CheckInvariants validates the structural invariants of the index; it is
 // expensive and intended for tests.
 func (a *Adaptive) CheckInvariants() error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.ix.CheckInvariants()
+	return a.l.Exclusive((*core.Index).CheckInvariants)
 }
 
 // SeqScan is the sequential scan baseline.
 type SeqScan struct {
-	mu sync.Mutex
-	s  *seqscan.Store
+	baseline
 }
 
 // NewSeqScan builds a sequential scan store.
 func NewSeqScan(dims int) (*SeqScan, error) {
-	s, err := seqscan.New(dims)
+	st, err := seqscan.New(dims)
 	if err != nil {
 		return nil, err
 	}
-	return &SeqScan{s: s}, nil
-}
-
-// Insert adds an object.
-func (s *SeqScan) Insert(id uint32, r Rect) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.s.Insert(id, r)
-}
-
-// Update replaces the rectangle stored under id; it returns an error
-// wrapping ErrNotFound if the id is absent.
-func (s *SeqScan) Update(id uint32, r Rect) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return updateByReplace(s.s.Dims(), id, r, s.s.Delete, s.s.Insert)
-}
-
-// Delete removes an object, reporting whether it existed.
-func (s *SeqScan) Delete(id uint32) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.s.Delete(id)
-}
-
-// Get returns the rectangle stored under id.
-func (s *SeqScan) Get(id uint32) (Rect, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.s.Get(id)
-}
-
-// Search scans the whole collection.
-func (s *SeqScan) Search(q Rect, rel Relation, emit func(id uint32) bool) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.s.Search(q, rel, emit)
-}
-
-// SearchIDs collects all qualifying identifiers.
-func (s *SeqScan) SearchIDs(q Rect, rel Relation) ([]uint32, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.s.SearchIDs(q, rel)
-}
-
-// SearchIDsAppend appends all qualifying identifiers to dst and returns the
-// extended slice.
-func (s *SeqScan) SearchIDsAppend(dst []uint32, q Rect, rel Relation) ([]uint32, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return appendViaSearch(s.s.Search, dst, q, rel)
-}
-
-// SearchIDsBatch answers every query of the batch (looped scans; the
-// baseline has no batch plane to exploit).
-func (s *SeqScan) SearchIDsBatch(dst *BatchResult, qs []Rect, rel Relation) (*BatchResult, error) {
-	return batchViaSingle(s.SearchIDsAppend, dst, qs, rel)
-}
-
-// Count returns the number of qualifying objects.
-func (s *SeqScan) Count(q Rect, rel Relation) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.s.Count(q, rel)
-}
-
-// Len returns the number of stored objects.
-func (s *SeqScan) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.s.Len()
-}
-
-// Dims returns the data space dimensionality.
-func (s *SeqScan) Dims() int { return s.s.Dims() }
-
-// Stats returns a snapshot of the operation counters.
-func (s *SeqScan) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return statsFrom(s.s.Meter(), s.s.Len(), 1, s.s.Dims())
-}
-
-// ResetStats zeroes the operation counters.
-func (s *SeqScan) ResetStats() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.s.ResetMeter()
+	s := new(SeqScan)
+	s.init(st)
+	return s, nil
 }
 
 // RStar is the R*-tree baseline.
 type RStar struct {
-	mu sync.Mutex
-	t  *rstar.Tree
+	baseline
+	t *rstar.Tree
 }
 
 // NewRStar builds an R*-tree with 16 KB pages by default.
@@ -603,82 +359,10 @@ func NewRStar(dims int, opts ...Option) (*RStar, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &RStar{t: t}, nil
+	r := &RStar{t: t}
+	r.init(t)
+	return r, nil
 }
-
-// Insert adds an object.
-func (r *RStar) Insert(id uint32, rect Rect) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.t.Insert(id, rect)
-}
-
-// Update replaces the rectangle stored under id; it returns an error
-// wrapping ErrNotFound if the id is absent.
-func (r *RStar) Update(id uint32, rect Rect) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return updateByReplace(r.t.Dims(), id, rect, r.t.Delete, r.t.Insert)
-}
-
-// Delete removes an object, reporting whether it existed.
-func (r *RStar) Delete(id uint32) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.t.Delete(id)
-}
-
-// Get returns the rectangle stored under id.
-func (r *RStar) Get(id uint32) (Rect, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.t.Get(id)
-}
-
-// Search walks the tree.
-func (r *RStar) Search(q Rect, rel Relation, emit func(id uint32) bool) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.t.Search(q, rel, emit)
-}
-
-// SearchIDs collects all qualifying identifiers.
-func (r *RStar) SearchIDs(q Rect, rel Relation) ([]uint32, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.t.SearchIDs(q, rel)
-}
-
-// SearchIDsAppend appends all qualifying identifiers to dst and returns the
-// extended slice.
-func (r *RStar) SearchIDsAppend(dst []uint32, q Rect, rel Relation) ([]uint32, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return appendViaSearch(r.t.Search, dst, q, rel)
-}
-
-// SearchIDsBatch answers every query of the batch (looped tree walks; the
-// baseline has no batch plane to exploit).
-func (r *RStar) SearchIDsBatch(dst *BatchResult, qs []Rect, rel Relation) (*BatchResult, error) {
-	return batchViaSingle(r.SearchIDsAppend, dst, qs, rel)
-}
-
-// Count returns the number of qualifying objects.
-func (r *RStar) Count(q Rect, rel Relation) (int, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.t.Count(q, rel)
-}
-
-// Len returns the number of stored objects.
-func (r *RStar) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.t.Len()
-}
-
-// Dims returns the data space dimensionality.
-func (r *RStar) Dims() int { return r.t.Dims() }
 
 // Nodes returns the number of tree nodes (pages).
 func (r *RStar) Nodes() int {
@@ -692,20 +376,6 @@ func (r *RStar) Height() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.t.Height()
-}
-
-// Stats returns a snapshot of the operation counters.
-func (r *RStar) Stats() Stats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return statsFrom(r.t.Meter(), r.t.Len(), r.t.Nodes(), r.t.Dims())
-}
-
-// ResetStats zeroes the operation counters.
-func (r *RStar) ResetStats() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.t.ResetMeter()
 }
 
 // CheckInvariants validates the structural invariants of the tree; it is
@@ -722,51 +392,6 @@ var (
 	_ Index = (*SeqScan)(nil)
 	_ Index = (*RStar)(nil)
 )
-
-// appendViaSearch implements SearchIDsAppend for engines without a native
-// append path, collecting emitted ids into dst. The caller holds the
-// engine's lock.
-func appendViaSearch(search func(q Rect, rel Relation, emit func(uint32) bool) error, dst []uint32, q Rect, rel Relation) ([]uint32, error) {
-	out := dst
-	err := search(q, rel, func(id uint32) bool { out = append(out, id); return true })
-	return out, err
-}
-
-// batchViaSingle implements SearchIDsBatch for engines without a native
-// batch plane by looping the single-query append path into the shared result
-// buffer — same answers, no batching advantage. Unlike the native engines
-// (which validate the whole batch up front), a mid-batch error leaves the
-// earlier queries executed and charged; dst is reset so no partial results
-// escape.
-func batchViaSingle(searchAppend func(dst []uint32, q Rect, rel Relation) ([]uint32, error), dst *BatchResult, qs []Rect, rel Relation) (*BatchResult, error) {
-	if dst == nil {
-		dst = new(BatchResult)
-	}
-	dst.b.Reset(len(qs))
-	for i, q := range qs {
-		ids, err := searchAppend(dst.b.IDs, q, rel)
-		if err != nil {
-			dst.b.Reset(len(qs))
-			return dst, err
-		}
-		dst.b.IDs = ids
-		dst.b.Off[i+1] = int32(len(ids))
-	}
-	return dst, nil
-}
-
-// updateByReplace implements Update for engines without a native one:
-// validate first (a failed update must not drop the object), then replace
-// via delete + insert. The caller holds the engine's lock.
-func updateByReplace(dims int, id uint32, r Rect, del func(uint32) bool, ins func(uint32, Rect) error) error {
-	if r.Dims() != dims || !r.Valid() {
-		return fmt.Errorf("accluster: invalid %d-dim rectangle for %d-dim index", r.Dims(), dims)
-	}
-	if !del(id) {
-		return fmt.Errorf("%w: %d", ErrNotFound, id)
-	}
-	return ins(id, r)
-}
 
 // statsFrom converts an internal meter into the public Stats.
 func statsFrom(m cost.Meter, objects, partitions, dims int) Stats {

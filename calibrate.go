@@ -1,6 +1,9 @@
 package accluster
 
-import "accluster/internal/cost"
+import (
+	"accluster/internal/core"
+	"accluster/internal/cost"
+)
 
 // CalibratedMemoryScenario micro-benchmarks this machine's signature-check
 // and verification speeds and returns an in-memory scenario built from the
@@ -39,9 +42,11 @@ type ClusterInfo struct {
 
 // ClusterInfos reports every materialized cluster, root first.
 func (a *Adaptive) ClusterInfos() []ClusterInfo {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	infos := a.ix.ClusterInfos()
+	var infos []core.ClusterInfo
+	_ = a.l.Exclusive(func(ix *core.Index) error {
+		infos = ix.ClusterInfos()
+		return nil
+	})
 	out := make([]ClusterInfo, len(infos))
 	for i, in := range infos {
 		out[i] = ClusterInfo(in)

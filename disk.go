@@ -1,11 +1,8 @@
 package accluster
 
 import (
-	"time"
-
 	"accluster/internal/diskengine"
 	"accluster/internal/store"
-	"accluster/internal/telemetry"
 )
 
 // Disk is a read-only query engine over a checkpoint written by SaveFile,
@@ -30,11 +27,7 @@ import (
 type Disk struct {
 	eng *diskengine.Engine
 	dev *store.FileDevice
-
-	// Flight recorder (WithTelemetry / WithTelemetryAddr); see Adaptive.
-	tel    *Telemetry
-	ownTel bool
-	qhist  *telemetry.Histogram
+	engineTelemetry
 }
 
 // OpenDisk opens a database file written by SaveFile for direct
@@ -77,13 +70,11 @@ func OpenDisk(path string, opts ...Option) (*Disk, error) {
 
 // Close releases the underlying file and, when the engine owns its flight
 // recorder (WithTelemetryAddr), stops the telemetry sampler and endpoint.
-// The cache is dropped with the engine.
+// The cache is dropped with the engine. Close is safe to call concurrently;
+// calls after the first report the file as already closed.
 func (d *Disk) Close() error {
 	err := d.dev.Close()
-	if d.ownTel && d.tel != nil {
-		_ = d.tel.Close()
-		d.ownTel = false
-	}
+	d.closeTelemetry()
 	return err
 }
 
@@ -95,27 +86,17 @@ func (d *Disk) Close() error {
 //
 //ac:noalloc
 func (d *Disk) Search(q Rect, rel Relation, emit func(id uint32) bool) error {
-	var t0 time.Time
-	if d.qhist != nil {
-		t0 = time.Now()
-	}
+	t0 := d.begin()
 	err := d.eng.Search(q, rel, emit)
-	if d.qhist != nil {
-		d.qhist.Record(int64(time.Since(t0)))
-	}
+	d.end(t0)
 	return err
 }
 
 // SearchIDs collects all qualifying identifiers.
 func (d *Disk) SearchIDs(q Rect, rel Relation) ([]uint32, error) {
-	var t0 time.Time
-	if d.qhist != nil {
-		t0 = time.Now()
-	}
+	t0 := d.begin()
 	ids, err := d.eng.SearchIDs(q, rel)
-	if d.qhist != nil {
-		d.qhist.Record(int64(time.Since(t0)))
-	}
+	d.end(t0)
 	return ids, err
 }
 
@@ -125,14 +106,9 @@ func (d *Disk) SearchIDs(q Rect, rel Relation) ([]uint32, error) {
 //
 //ac:noalloc
 func (d *Disk) SearchIDsAppend(dst []uint32, q Rect, rel Relation) ([]uint32, error) {
-	var t0 time.Time
-	if d.qhist != nil {
-		t0 = time.Now()
-	}
+	t0 := d.begin()
 	ids, err := d.eng.SearchIDsAppend(dst, q, rel)
-	if d.qhist != nil {
-		d.qhist.Record(int64(time.Since(t0)))
-	}
+	d.end(t0)
 	return ids, err
 }
 
@@ -152,14 +128,9 @@ func (d *Disk) SearchIDsBatch(dst *BatchResult, qs []Rect, rel Relation) (*Batch
 		//acvet:ignore noalloc nil-dst convenience; steady-state callers pass a reused BatchResult
 		dst = new(BatchResult)
 	}
-	var t0 time.Time
-	if d.qhist != nil {
-		t0 = time.Now()
-	}
+	t0 := d.begin()
 	err := d.eng.SearchIDsBatch(&dst.b, qs, rel)
-	if d.qhist != nil {
-		d.qhist.Record(int64(time.Since(t0)))
-	}
+	d.end(t0)
 	return dst, err
 }
 
@@ -167,14 +138,9 @@ func (d *Disk) SearchIDsBatch(dst *BatchResult, qs []Rect, rel Relation) (*Batch
 //
 //ac:noalloc
 func (d *Disk) Count(q Rect, rel Relation) (int, error) {
-	var t0 time.Time
-	if d.qhist != nil {
-		t0 = time.Now()
-	}
+	t0 := d.begin()
 	n, err := d.eng.Count(q, rel)
-	if d.qhist != nil {
-		d.qhist.Record(int64(time.Since(t0)))
-	}
+	d.end(t0)
 	return n, err
 }
 

@@ -81,6 +81,14 @@
 // clustering statistics up to the commutative reordering of additions. emit
 // callbacks must not call back into the same index.
 //
+// One internal type owns that lock discipline: a core index behind its
+// reader/writer lock, which runs the read phases under the shared lock,
+// publishes after RUnlock, takes the lock exclusively for mutations, saves
+// and invariant checks, and starts and stops the background drainer.
+// NewAdaptive holds one, every shard of NewSharded is one, and the pub/sub
+// broker runs on the sharded engine. Close is idempotent and safe to call
+// concurrently on every engine.
+//
 // NewSharded remains the multi-core engine of choice for mixed workloads:
 // it hash-partitions objects by id across independent adaptive indexes (one
 // reader/writer lock each), routes Insert, Update, Delete and Get to the
@@ -89,7 +97,9 @@
 // exactly the same result sets as NewAdaptive over the same data.
 //
 // NewSeqScan, NewRStar and NewXTree serialize on a single mutex (their
-// searches mutate traversal state), capping each at one core.
+// searches mutate traversal state), capping each at one core. They share
+// one implementation of Index, with every query method built on the access
+// method's Search.
 //
 // Pick NewAdaptive for read-heavy workloads, when reproducing the paper's
 // experiments (one clustering over the whole database), or when modeled
@@ -113,11 +123,15 @@
 // of re-learning the query distribution from scratch. Version-1 segments
 // still load and re-gather statistics.
 //
-// Steady-state searches are allocation-free: the verification bitmap, the
-// matching-cluster list and the statistics delta live in pooled per-query
-// scratch (each in-flight concurrent query owns its own set), and
-// SearchIDsAppend reuses the caller's result buffer (the sharded engine
-// merges its fan-out through pooled per-shard buffers). Use SearchIDsAppend
+// Steady-state searches on Adaptive and Disk are allocation-free: the
+// verification bitmap, the matching-cluster list and the statistics delta
+// live in pooled per-query scratch (each in-flight concurrent query owns its
+// own set), and SearchIDsAppend reuses the caller's result buffer. The
+// sharded engine merges its fan-out through pooled per-shard buffers, but
+// the fan-out itself allocates: a warm SearchIDsAppend with a reused buffer
+// makes one allocation on one shard (the fan-out closure) and, at
+// GOMAXPROCS 2, seven on two or four shards (the worker goroutines on top).
+// Use SearchIDsAppend
 // with a retained buffer in hot loops; SearchIDs is the convenience form
 // that allocates a fresh result slice per call.
 //

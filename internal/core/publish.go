@@ -20,7 +20,8 @@ package core
 //     under the shared lock). Statistics records are enqueued into a small
 //     mailbox and applied by the next caller that holds the index
 //     exclusively: every mutating operation drains the mailbox on entry,
-//     and lock-owning wrappers (accluster.Adaptive, internal/shard) call
+//     and the one lock-owning wrapper, internal/shard's Locked (which
+//     accluster.Adaptive, every shard and the pub/sub broker run on), calls
 //     TryDrainStats after each query — opportunistically with TryLock, so
 //     readers never wait for publication, with a blocking drain only once
 //     the backlog reaches StatsBacklogMax.

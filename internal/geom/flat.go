@@ -33,15 +33,6 @@ func FromFlat(buf []float32, i, dims int) Rect {
 	return r
 }
 
-// WriteFlat overwrites the i-th object slot of buf with r.
-func WriteFlat(buf []float32, i int, r Rect) {
-	base := i * 2 * r.Dims()
-	for d := range r.Min {
-		buf[base+2*d] = r.Min[d]
-		buf[base+2*d+1] = r.Max[d]
-	}
-}
-
 // FlatMatches evaluates rel between the i-th object in buf and the query q
 // without materializing a Rect. It returns the match outcome and the number
 // of dimensions inspected before the verdict (early exit on the first failing

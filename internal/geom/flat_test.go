@@ -27,20 +27,6 @@ func TestFlatRoundTrip(t *testing.T) {
 	}
 }
 
-func TestWriteFlat(t *testing.T) {
-	const dims = 3
-	buf := make([]float32, FlatLen(4, dims))
-	r := Rect{Min: []float32{0.1, 0.2, 0.3}, Max: []float32{0.4, 0.5, 0.6}}
-	WriteFlat(buf, 2, r)
-	if got := FromFlat(buf, 2, dims); !got.Equal(r) {
-		t.Fatalf("WriteFlat: got %v, want %v", got, r)
-	}
-	// Neighbouring slots untouched.
-	if got := FromFlat(buf, 1, dims); got.Volume() != 0 {
-		t.Fatalf("slot 1 should still be zero, got %v", got)
-	}
-}
-
 func TestFlatMatchesAgainstRect(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

@@ -78,11 +78,11 @@ func measureParallel(e Engine, queries []geom.Rect, rel geom.Relation, workers i
 	return res, nil
 }
 
-// RunSharded measures the sharded parallel engine against the single-mutex
-// adaptive index: the shard count is swept (1 means one index behind one
-// mutex — the pre-sharding engine) and every point is measured under
-// concurrent client load, so the table's measured wall times are inverse
-// throughput. Modeled times stay flat across shard counts by design — the
+// RunSharded measures the sharded parallel engine against a single adaptive
+// index: the shard count is swept (1 means one index behind one
+// reader/writer lock, the same locked index Adaptive wraps) and every point
+// is measured under concurrent client load, so the table's measured wall
+// times are inverse throughput. Modeled times stay flat across shard counts by design — the
 // total work per query is unchanged; partitioning buys parallelism, not
 // fewer verifications.
 func RunSharded(o Options) (*Experiment, error) {

@@ -72,68 +72,6 @@ type Event map[string]Range
 // Handler receives matched events for a subscription.
 type Handler func(sub uint32, ev Event)
 
-// engine is the index surface the broker needs; it must be internally
-// synchronized. lockedIndex (one adaptive index behind a mutex) and
-// shard.Engine (the parallel partitioned index) both satisfy it.
-type engine interface {
-	Insert(id uint32, r geom.Rect) error
-	Delete(id uint32) bool
-	SearchIDs(q geom.Rect, rel geom.Relation) ([]uint32, error)
-	SearchIDsBatch(dst *geom.IDBatch, qs []geom.Rect, rel geom.Relation) error
-	Len() int
-	Clusters() int
-}
-
-// lockedIndex guards a single adaptive index with a reader/writer lock:
-// event matching holds it shared, so concurrent Publish/Match calls execute
-// in parallel even on the single-index broker; subscribe/unsubscribe hold
-// it exclusive. Statistics publish after the shared phase via
-// core.TryDrainStats — matching never waits on index maintenance.
-type lockedIndex struct {
-	mu sync.RWMutex
-	ix *core.Index
-}
-
-func (l *lockedIndex) Insert(id uint32, r geom.Rect) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.ix.Insert(id, r)
-}
-
-func (l *lockedIndex) Delete(id uint32) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.ix.Delete(id)
-}
-
-func (l *lockedIndex) SearchIDs(q geom.Rect, rel geom.Relation) ([]uint32, error) {
-	l.mu.RLock()
-	ids, err := l.ix.SearchIDsAppendRead(nil, q, rel)
-	l.mu.RUnlock()
-	l.ix.TryDrainStats(&l.mu)
-	return ids, err
-}
-
-func (l *lockedIndex) SearchIDsBatch(dst *geom.IDBatch, qs []geom.Rect, rel geom.Relation) error {
-	l.mu.RLock()
-	err := l.ix.SearchBatchRead(dst, qs, rel)
-	l.mu.RUnlock()
-	l.ix.TryDrainStats(&l.mu)
-	return err
-}
-
-func (l *lockedIndex) Len() int {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.ix.Len()
-}
-
-func (l *lockedIndex) Clusters() int {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.ix.Clusters()
-}
-
 // subscriber is the delivery state of one handler-bearing subscription.
 // delivered/dropped are atomics so the asynchronous deliverer and the stats
 // surface never contend with the broker lock.
@@ -168,7 +106,7 @@ func (s *subscriber) run() {
 type Broker struct {
 	schema Schema
 	dims   map[string]int
-	ix     engine
+	ix     *shard.Engine
 	depth  int // per-subscriber queue capacity (0 = synchronous)
 
 	mu       sync.Mutex
@@ -186,10 +124,11 @@ type Options struct {
 	Scenario cost.Params
 	// ReorgEvery is the reorganization period (default 100 events).
 	ReorgEvery int
-	// Shards, when > 1, runs the broker on the sharded parallel engine
-	// with that many partitions (rounded up to a power of two) instead of
-	// a single mutex-serialized index — events on a busy broker then
-	// match concurrently across cores. 0 or 1 keeps the single index.
+	// Shards is the number of partitions of the subscription index
+	// (rounded up to a power of two). Every partition is one adaptive
+	// index behind a reader/writer lock, so concurrent events match in
+	// parallel even on one partition; with more, each event's matching
+	// also fans out across cores. Any value ≤ 1 means one partition.
 	Shards int
 	// QueueDepth, when > 0, makes notification delivery asynchronous:
 	// every handler-bearing subscription gets a bounded queue of this
@@ -209,24 +148,20 @@ func NewBroker(schema Schema, opts Options) (*Broker, error) {
 	if opts.QueueDepth < 0 {
 		return nil, fmt.Errorf("pubsub: queue depth must be ≥ 0, got %d", opts.QueueDepth)
 	}
-	cfg := core.Config{
-		Dims:       len(schema),
-		Params:     opts.Scenario,
-		ReorgEvery: opts.ReorgEvery,
+	shards := opts.Shards
+	if shards < 1 {
+		shards = 1 // shard.New reads 0 as one shard per GOMAXPROCS
 	}
-	var ix engine
-	if opts.Shards > 1 {
-		e, err := shard.New(shard.Config{Shards: opts.Shards, Core: cfg})
-		if err != nil {
-			return nil, err
-		}
-		ix = e
-	} else {
-		cix, err := core.New(cfg)
-		if err != nil {
-			return nil, err
-		}
-		ix = &lockedIndex{ix: cix}
+	ix, err := shard.New(shard.Config{
+		Shards: shards,
+		Core: core.Config{
+			Dims:       len(schema),
+			Params:     opts.Scenario,
+			ReorgEvery: opts.ReorgEvery,
+		},
+	})
+	if err != nil {
+		return nil, err
 	}
 	dims := make(map[string]int, len(schema))
 	for i, a := range schema {

@@ -269,7 +269,7 @@ func TestLoadLegacyV1Layout(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Write the legacy layout by hand: gen-0 segment names + v1 manifest.
-	err := e.forEachShard(func(i int, s *lockedShard) error {
+	err := e.forEachShard(func(i int, s *Locked) error {
 		f, err := fsys.Create(fmt.Sprintf("ckpt/shard-%04d.acdb", i))
 		if err != nil {
 			return err

@@ -164,14 +164,14 @@ func (e *Engine) SaveDirFS(fsys store.FS, dir string) error {
 		return fmt.Errorf("shard: save: %w", err)
 	}
 	gen := nextGeneration(fsys, dir)
-	err := e.forEachShard(func(i int, s *lockedShard) error {
+	err := e.forEachShard(func(i int, s *Locked) error {
 		f, err := fsys.Create(filepath.Join(dir, segmentName(i, gen)))
 		if err != nil {
 			return err
 		}
-		s.mu.Lock()
-		err = store.Save(s.ix, f) // writes, truncates and syncs the segment
-		s.mu.Unlock()
+		err = s.Exclusive(func(ix *core.Index) error {
+			return store.Save(ix, f) // writes, truncates and syncs the segment
+		})
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}

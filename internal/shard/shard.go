@@ -6,12 +6,13 @@
 // owning shard, while spatial selections fan out to every shard on a bounded
 // worker pool and merge the per-shard answers.
 //
-// Each shard is guarded by a reader/writer lock: selections hold it shared,
-// so concurrent queries execute in parallel *within* a shard as well as
-// across shards — throughput scales with clients × cores, not with the
-// shard count alone. Mutations and reorganization steps hold the lock
-// exclusive; query statistics publish after the shared phase through
-// core.TryDrainStats, so readers never wait on maintenance.
+// Each shard is a Locked: one core index behind its reader/writer lock, the
+// same type accluster.Adaptive wraps around its single index. Selections
+// hold the lock shared, so concurrent queries execute in parallel *within* a
+// shard as well as across shards — throughput scales with clients × cores,
+// not with the shard count alone. Mutations and reorganization steps hold
+// the lock exclusive; query statistics publish after the shared phase
+// through core.TryDrainStats, so readers never wait on maintenance.
 //
 // Every shard is a complete adaptive index: it keeps its own clustering,
 // query statistics and reorganization schedule. Because a selection visits
@@ -80,45 +81,12 @@ func (c *Config) setDefaults() error {
 	return nil
 }
 
-// lockedShard pairs one partition's index with its reader/writer lock and,
-// under background reorganization, the wake channel of its drainer
-// goroutine. Selections hold the lock shared — concurrent queries verify
-// the same shard in parallel — while point operations and reorganization
-// steps hold it exclusive; each query's statistics publication happens
-// after the shared phase via core.TryDrainStats.
-type lockedShard struct {
-	mu   sync.RWMutex
-	ix   *core.Index
-	wake chan struct{} // nil unless Core.BackgroundReorg
-}
-
-// notifyReorg wakes the shard's drainer (non-blocking; a pending wake-up
-// already covers the new work).
-func (s *lockedShard) notifyReorg() {
-	select {
-	case s.wake <- struct{}{}:
-	default:
-	}
-}
-
-// publishStats runs one query's publication phase on this shard: apply the
-// queued statistics deltas under a brief exclusive acquisition when the
-// lock is free (core.TryDrainStats blocks only at the backlog watermark)
-// and wake the background drainer when maintenance is pending. Queries on
-// other readers' critical paths never wait for this.
-func (s *lockedShard) publishStats() {
-	pending := s.ix.TryDrainStats(&s.mu)
-	if s.wake != nil && (pending || s.ix.StatsBacklog() > 0) {
-		s.notifyReorg()
-	}
-}
-
 // Engine is the sharded adaptive clustering engine. All methods are safe for
 // concurrent use.
 type Engine struct {
 	cfg    Config
 	shift  uint // 32 - log2(shards), for Fibonacci routing
-	shards []*lockedShard
+	shards []*Locked
 	// queries counts logical selections (each fans out to every shard, so
 	// the per-shard meters would overcount by the shard factor).
 	queries atomic.Int64
@@ -126,11 +94,6 @@ type Engine struct {
 	// steady-state selections reuse the same backing arrays instead of
 	// allocating one answer slice per shard per query.
 	merge sync.Pool
-	// Background reorganization lifecycle (Core.BackgroundReorg): one
-	// drainer goroutine per shard, stopped by Close.
-	done      chan struct{}
-	wg        sync.WaitGroup
-	closeOnce sync.Once
 	// generation is the committed checkpoint generation this engine was
 	// loaded from (and advanced by every SaveDir); 0 before any save.
 	generation atomic.Uint64
@@ -171,17 +134,17 @@ func New(cfg Config) (*Engine, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
 	}
-	shards := make([]*lockedShard, cfg.Shards)
-	for i := range shards {
+	ixs := make([]*core.Index, cfg.Shards)
+	for i := range ixs {
 		ix, err := core.New(cfg.Core)
 		if err != nil {
 			return nil, err
 		}
-		shards[i] = &lockedShard{ix: ix}
+		ixs[i] = ix
 	}
 	// core.New applied the per-shard defaults; keep the effective config.
-	cfg.Core = shards[0].ix.Config()
-	return newEngine(cfg, shards), nil
+	cfg.Core = ixs[0].Config()
+	return newEngine(cfg, ixs), nil
 }
 
 // Wrap assembles an engine from pre-built shard indexes (the load path).
@@ -195,69 +158,35 @@ func Wrap(cfg Config, ixs []*core.Index) (*Engine, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
 	}
-	shards := make([]*lockedShard, len(ixs))
 	for i, ix := range ixs {
 		if ix.Dims() != cfg.Core.Dims {
 			return nil, fmt.Errorf("shard: shard %d has %d dims, shard 0 has %d", i, ix.Dims(), cfg.Core.Dims)
 		}
-		shards[i] = &lockedShard{ix: ix}
 	}
-	return newEngine(cfg, shards), nil
+	return newEngine(cfg, ixs), nil
 }
 
-func newEngine(cfg Config, shards []*lockedShard) *Engine {
+// newEngine puts every shard index behind its lock, which starts the
+// shard's drainer under Core.BackgroundReorg.
+func newEngine(cfg Config, ixs []*core.Index) *Engine {
 	shift := uint(32)
-	for k := 1; k < len(shards); k <<= 1 {
+	for k := 1; k < len(ixs); k <<= 1 {
 		shift--
 	}
-	e := &Engine{cfg: cfg, shift: shift, shards: shards}
-	if cfg.Core.BackgroundReorg {
-		e.done = make(chan struct{})
-		for _, s := range shards {
-			s.wake = make(chan struct{}, 1)
-			e.wg.Add(1)
-			go e.reorgLoop(s)
-		}
+	e := &Engine{cfg: cfg, shift: shift, shards: make([]*Locked, len(ixs))}
+	for i, ix := range ixs {
+		e.shards[i] = NewLocked(ix)
 	}
 	return e
 }
 
-// reorgLoop drains one shard's pending reorganization work, taking the shard
-// lock once per bounded step so concurrent queries and point operations on
-// the shard interleave with maintenance.
-func (e *Engine) reorgLoop(s *lockedShard) {
-	defer e.wg.Done()
-	for {
-		select {
-		case <-e.done:
-			return
-		case <-s.wake:
-		}
-		for {
-			s.mu.Lock()
-			more := s.ix.ReorgStep()
-			s.mu.Unlock()
-			if !more {
-				break
-			}
-			select {
-			case <-e.done:
-				return
-			default:
-			}
-		}
-	}
-}
-
-// Close stops the background reorganization goroutines (no-op unless
-// Core.BackgroundReorg). The engine stays usable afterwards.
+// Close stops the shards' background reorganization goroutines (no-op
+// unless Core.BackgroundReorg). It is idempotent and safe to call
+// concurrently; the engine stays usable afterwards.
 func (e *Engine) Close() error {
-	e.closeOnce.Do(func() {
-		if e.done != nil {
-			close(e.done)
-			e.wg.Wait()
-		}
-	})
+	for _, s := range e.shards {
+		s.Close()
+	}
 	return nil
 }
 
@@ -278,8 +207,9 @@ func (e *Engine) route(id uint32) int {
 }
 
 // forEachShard runs fn over every shard on at most cfg.Workers goroutines
-// and returns the first error. fn is responsible for the shard's lock.
-func (e *Engine) forEachShard(fn func(i int, s *lockedShard) error) error {
+// and returns the first error. fn goes through the shard's Locked methods,
+// which take the shard's lock.
+func (e *Engine) forEachShard(fn func(i int, s *Locked) error) error {
 	if len(e.shards) == 1 {
 		return fn(0, e.shards[0])
 	}
@@ -323,38 +253,18 @@ func (e *Engine) forEachShard(fn func(i int, s *lockedShard) error) error {
 }
 
 // Insert adds an object to its owning shard.
-func (e *Engine) Insert(id uint32, r geom.Rect) error {
-	s := e.shards[e.route(id)]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ix.Insert(id, r)
-}
+func (e *Engine) Insert(id uint32, r geom.Rect) error { return e.shards[e.route(id)].Insert(id, r) }
 
 // Update replaces the rectangle stored under id in its owning shard.
-func (e *Engine) Update(id uint32, r geom.Rect) error {
-	s := e.shards[e.route(id)]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ix.Update(id, r)
-}
+func (e *Engine) Update(id uint32, r geom.Rect) error { return e.shards[e.route(id)].Update(id, r) }
 
 // Delete removes an object from its owning shard, reporting whether it
 // existed.
-func (e *Engine) Delete(id uint32) bool {
-	s := e.shards[e.route(id)]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ix.Delete(id)
-}
+func (e *Engine) Delete(id uint32) bool { return e.shards[e.route(id)].Delete(id) }
 
 // Get returns the rectangle stored under id. Concurrent Gets and searches
 // on the same shard run in parallel (shared lock).
-func (e *Engine) Get(id uint32) (geom.Rect, bool) {
-	s := e.shards[e.route(id)]
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.ix.Get(id)
-}
+func (e *Engine) Get(id uint32) (geom.Rect, bool) { return e.shards[e.route(id)].Get(id) }
 
 // InsertBatch bulk-loads a batch: ids are pre-bucketed by owning shard, then
 // every shard ingests its bucket under a single lock acquisition, with the
@@ -372,18 +282,18 @@ func (e *Engine) InsertBatch(ids []uint32, rects []geom.Rect) error {
 		b := e.route(ids[k])
 		buckets[b] = append(buckets[b], int32(k))
 	}
-	return e.forEachShard(func(i int, s *lockedShard) error {
+	return e.forEachShard(func(i int, s *Locked) error {
 		if len(buckets[i]) == 0 {
 			return nil
 		}
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		for _, k := range buckets[i] {
-			if err := s.ix.Insert(ids[k], rects[k]); err != nil {
-				return err
+		return s.Exclusive(func(ix *core.Index) error {
+			for _, k := range buckets[i] {
+				if err := ix.Insert(ids[k], rects[k]); err != nil {
+					return err
+				}
 			}
-		}
-		return nil
+			return nil
+		})
 	})
 }
 
@@ -412,12 +322,9 @@ func (e *Engine) Search(q geom.Rect, rel geom.Relation, emit func(id uint32) boo
 // The caller must return bufs to the pool when done with the answers.
 func (e *Engine) fanOut(q geom.Rect, rel geom.Relation) (*mergeBuffers, error) {
 	bufs := e.getMergeBuffers()
-	err := e.forEachShard(func(i int, s *lockedShard) error {
-		s.mu.RLock()
-		ids, err := s.ix.SearchIDsAppendRead(bufs.perShard[i][:0], q, rel)
+	err := e.forEachShard(func(i int, s *Locked) error {
+		ids, err := s.SearchIDsAppend(bufs.perShard[i][:0], q, rel)
 		bufs.perShard[i] = ids
-		s.mu.RUnlock()
-		s.publishStats()
 		return err
 	})
 	if err != nil {
@@ -434,8 +341,10 @@ func (e *Engine) SearchIDs(q geom.Rect, rel geom.Relation) ([]uint32, error) {
 }
 
 // SearchIDsAppend appends the identifiers of all qualifying objects to dst
-// and returns the extended slice; with a reused dst of sufficient capacity
-// the merged fan-out performs no steady-state allocations.
+// and returns the extended slice. The per-shard answers merge through pooled
+// buffers, but the fan-out allocates: with a reused dst a warm selection
+// makes one allocation on one shard (the fan-out closure) and, with two
+// workers, seven on two or four shards (the worker goroutines on top).
 func (e *Engine) SearchIDsAppend(dst []uint32, q geom.Rect, rel geom.Relation) ([]uint32, error) {
 	bufs, err := e.fanOut(q, rel)
 	if err != nil {
@@ -465,12 +374,8 @@ func (e *Engine) SearchIDsBatch(dst *geom.IDBatch, qs []geom.Rect, rel geom.Rela
 	if bufs.batch == nil {
 		bufs.batch = make([]geom.IDBatch, len(e.shards))
 	}
-	err := e.forEachShard(func(i int, s *lockedShard) error {
-		s.mu.RLock()
-		err := s.ix.SearchBatchRead(&bufs.batch[i], qs, rel)
-		s.mu.RUnlock()
-		s.publishStats()
-		return err
+	err := e.forEachShard(func(i int, s *Locked) error {
+		return s.SearchIDsBatch(&bufs.batch[i], qs, rel)
 	})
 	if err != nil {
 		return err
@@ -489,12 +394,9 @@ func (e *Engine) SearchIDsBatch(dst *geom.IDBatch, qs []geom.Rect, rel geom.Rela
 // retrieval paths it never materializes ids: each shard counts locally.
 func (e *Engine) Count(q geom.Rect, rel geom.Relation) (int, error) {
 	var total atomic.Int64
-	err := e.forEachShard(func(i int, s *lockedShard) error {
-		s.mu.RLock()
-		n, err := s.ix.CountRead(q, rel)
+	err := e.forEachShard(func(_ int, s *Locked) error {
+		n, err := s.Count(q, rel)
 		total.Add(int64(n))
-		s.mu.RUnlock()
-		s.publishStats()
 		return err
 	})
 	if err != nil {
@@ -508,9 +410,7 @@ func (e *Engine) Count(q geom.Rect, rel geom.Relation) (int, error) {
 func (e *Engine) Len() int {
 	n := 0
 	for _, s := range e.shards {
-		s.mu.RLock()
-		n += s.ix.Len()
-		s.mu.RUnlock()
+		n += s.Len()
 	}
 	return n
 }
@@ -519,9 +419,7 @@ func (e *Engine) Len() int {
 func (e *Engine) Clusters() int {
 	n := 0
 	for _, s := range e.shards {
-		s.mu.RLock()
-		n += s.ix.Clusters()
-		s.mu.RUnlock()
+		n += s.Clusters()
 	}
 	return n
 }
@@ -535,9 +433,7 @@ func (e *Engine) Clusters() int {
 func (e *Engine) Meter() cost.Meter {
 	var m cost.Meter
 	for _, s := range e.shards {
-		// Per-shard meters are internally synchronized (each query merges
-		// its counter delta race-free), so no shard lock is needed.
-		m.Add(s.ix.Meter())
+		m.Add(s.Meter())
 	}
 	m.Queries = e.queries.Load()
 	return m
@@ -546,17 +442,15 @@ func (e *Engine) Meter() cost.Meter {
 // ResetMeter zeroes the operation counters (clustering statistics are kept).
 func (e *Engine) ResetMeter() {
 	for _, s := range e.shards {
-		s.ix.ResetMeter()
+		s.ResetMeter()
 	}
 	e.queries.Store(0)
 }
 
 // Reorganize forces a reorganization round on every shard, in parallel.
 func (e *Engine) Reorganize() {
-	_ = e.forEachShard(func(_ int, s *lockedShard) error {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		s.ix.Reorganize()
+	_ = e.forEachShard(func(_ int, s *Locked) error {
+		s.Reorganize()
 		return nil
 	})
 }
@@ -566,9 +460,7 @@ func (e *Engine) Reorganize() {
 func (e *Engine) ReorgRounds() int64 {
 	var n int64
 	for _, s := range e.shards {
-		s.mu.RLock()
-		n += s.ix.ReorgRounds()
-		s.mu.RUnlock()
+		n += s.Info().ReorgRounds
 	}
 	return n
 }
@@ -577,9 +469,7 @@ func (e *Engine) ReorgRounds() int64 {
 func (e *Engine) Splits() int64 {
 	var n int64
 	for _, s := range e.shards {
-		s.mu.RLock()
-		n += s.ix.Splits()
-		s.mu.RUnlock()
+		n += s.Info().Splits
 	}
 	return n
 }
@@ -588,14 +478,13 @@ func (e *Engine) Splits() int64 {
 func (e *Engine) Merges() int64 {
 	var n int64
 	for _, s := range e.shards {
-		s.mu.RLock()
-		n += s.ix.Merges()
-		s.mu.RUnlock()
+		n += s.Info().Merges
 	}
 	return n
 }
 
-// ShardInfo summarizes one partition for balance monitoring and telemetry.
+// ShardInfo summarizes one partition (or, through Locked.Info, any locked
+// index) for balance monitoring and telemetry.
 type ShardInfo struct {
 	// Objects is the number of objects the shard stores.
 	Objects int
@@ -609,6 +498,9 @@ type ShardInfo struct {
 	StatsBacklog int
 	// Epoch is the shard's reorganization epoch.
 	Epoch int64
+	// ReorgRounds, Splits and Merges count the shard's reorganization
+	// rounds, cluster materializations and cluster merges.
+	ReorgRounds, Splits, Merges int64
 	// Quarantined reports whether the shard's checkpoint segment failed
 	// validation in a salvage load and has not been restored yet.
 	Quarantined bool
@@ -624,17 +516,8 @@ func (e *Engine) ShardInfos() []ShardInfo {
 	}
 	out := make([]ShardInfo, len(e.shards))
 	for i, s := range e.shards {
-		s.mu.RLock()
-		out[i] = ShardInfo{
-			Objects:      s.ix.Len(),
-			Clusters:     s.ix.Clusters(),
-			ReorgBacklog: s.ix.ReorgBacklog(),
-			StatsBacklog: s.ix.StatsBacklog(),
-			Epoch:        s.ix.Epoch(),
-			Quarantined:  quarantined[i],
-			Meter:        s.ix.Meter(),
-		}
-		s.mu.RUnlock()
+		out[i] = s.Info()
+		out[i].Quarantined = quarantined[i]
 	}
 	return out
 }
@@ -678,11 +561,7 @@ func (e *Engine) RestoreQuarantined(ids []uint32, rects []geom.Rect) error {
 		if !quarantined[i] {
 			continue
 		}
-		s := e.shards[i]
-		s.mu.Lock()
-		err := s.ix.Insert(ids[k], rects[k])
-		s.mu.Unlock()
-		if err != nil {
+		if err := e.shards[i].Insert(ids[k], rects[k]); err != nil {
 			return fmt.Errorf("shard: restore shard %d: %w", i, err)
 		}
 	}
@@ -697,9 +576,10 @@ func (e *Engine) RestoreQuarantined(ids []uint32, rects []geom.Rect) error {
 func (e *Engine) ClusterInfos() []core.ClusterInfo {
 	var out []core.ClusterInfo
 	for _, s := range e.shards {
-		s.mu.Lock()
-		out = append(out, s.ix.ClusterInfos()...)
-		s.mu.Unlock()
+		_ = s.Exclusive(func(ix *core.Index) error {
+			out = append(out, ix.ClusterInfos()...)
+			return nil
+		})
 	}
 	return out
 }
@@ -708,19 +588,19 @@ func (e *Engine) ClusterInfos() []core.ClusterInfo {
 // routing invariant (every object lives in the shard its id hashes to); it
 // is expensive and intended for tests.
 func (e *Engine) CheckInvariants() error {
-	return e.forEachShard(func(i int, s *lockedShard) error {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if err := s.ix.CheckInvariants(); err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
-		}
-		for _, cs := range s.ix.Snapshot() {
-			for _, id := range cs.IDs {
-				if e.route(id) != i {
-					return fmt.Errorf("shard %d: object %d routes to shard %d", i, id, e.route(id))
+	return e.forEachShard(func(i int, s *Locked) error {
+		return s.Exclusive(func(ix *core.Index) error {
+			if err := ix.CheckInvariants(); err != nil {
+				return fmt.Errorf("shard %d: %w", i, err)
+			}
+			for _, cs := range ix.Snapshot() {
+				for _, id := range cs.IDs {
+					if e.route(id) != i {
+						return fmt.Errorf("shard %d: object %d routes to shard %d", i, id, e.route(id))
+					}
 				}
 			}
-		}
-		return nil
+			return nil
+		})
 	})
 }

@@ -107,21 +107,6 @@ func (s Signature) MatchesObject(r geom.Rect) bool {
 	return true
 }
 
-// MatchesObjectFlat is MatchesObject over the flat float32 layout, avoiding a
-// Rect materialization. buf holds objects of s.Dims() dimensions; i indexes
-// the object.
-func (s Signature) MatchesObjectFlat(buf []float32, i int) bool {
-	dims := s.Dims()
-	base := i * 2 * dims
-	for d := 0; d < dims; d++ {
-		if !inVar(buf[base+2*d], s.ALo[d], s.AHi[d]) ||
-			!inVar(buf[base+2*d+1], s.BLo[d], s.BHi[d]) {
-			return false
-		}
-	}
-	return true
-}
-
 // queryMatchesDim evaluates the per-dimension necessary condition for a
 // query interval [qlo,qhi] to possibly select some object matching the
 // variation intervals [alo,ahi) x [blo,bhi). The conditions are conservative

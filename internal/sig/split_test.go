@@ -223,25 +223,6 @@ func TestEnumerateRejectsSmallFactor(t *testing.T) {
 	}
 }
 
-func TestMatchesObjectFlat(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	s := Root(3)
-	splits := Enumerate(s, 4)
-	s = splits[rng.Intn(len(splits))].Child(s)
-	var buf []float32
-	var rects []geom.Rect
-	for i := 0; i < 100; i++ {
-		r := randomRect(rng, 3)
-		rects = append(rects, r)
-		buf = geom.AppendFlat(buf, r)
-	}
-	for i, r := range rects {
-		if s.MatchesObjectFlat(buf, i) != s.MatchesObject(r) {
-			t.Fatalf("flat/rect mismatch on object %d", i)
-		}
-	}
-}
-
 func TestMaxCandidates(t *testing.T) {
 	if MaxCandidates(16, 4) != 256 {
 		t.Errorf("MaxCandidates(16,4) = %d, want 256", MaxCandidates(16, 4))

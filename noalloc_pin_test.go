@@ -129,6 +129,25 @@ func TestNoAllocAnnotatedPaths(t *testing.T) {
 	}
 	adst := make([]uint32, 0, 4096)
 
+	// Baseline fixture: the R*-tree over the same kind of objects, queried
+	// through the methods the three baselines share.
+	rs, err := NewRStar(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := uint32(0); id < 2000; id++ {
+		r := NewRect(4)
+		for d := 0; d < 4; d++ {
+			size := rng.Float32() * 0.3
+			r.Min[d] = rng.Float32() * (1 - size)
+			r.Max[d] = r.Min[d] + size
+		}
+		if err := rs.Insert(id, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bdst := make([]uint32, 0, 4096)
+
 	// Disk fixture: a checkpoint queried through the disk scenario with the
 	// region cache holding the whole working set (the pinned path is the
 	// warm hit pass).
@@ -165,7 +184,8 @@ func TestNoAllocAnnotatedPaths(t *testing.T) {
 	}
 	var idb, cb, dcb geom.IDBatch
 	idb.Reset(8)
-	abr, dbr := new(BatchResult), new(BatchResult)
+	abr, dbr, bbr := new(BatchResult), new(BatchResult), new(BatchResult)
+	var lb geom.IDBatch
 	var bq sig.BatchQueries
 	var bm sig.BatchMatch
 	qbits := make([]uint64, geom.BitmapWords(len(qs4)))
@@ -228,6 +248,14 @@ func TestNoAllocAnnotatedPaths(t *testing.T) {
 		{"accluster.Adaptive.SearchIDsAppend", func() { adst, runErr = a.SearchIDsAppend(adst[:0], q4, Intersects) }},
 		{"accluster.Adaptive.Count", func() { _, runErr = a.Count(q4, Intersects) }},
 		{"accluster.Adaptive.SearchIDsBatch", func() { _, runErr = a.SearchIDsBatch(abr, qs4, Intersects) }},
+		{"accluster/internal/shard.Locked.Search", func() { runErr = a.l.Search(q4, Intersects, emit) }},
+		{"accluster/internal/shard.Locked.SearchIDsAppend", func() { adst, runErr = a.l.SearchIDsAppend(adst[:0], q4, Intersects) }},
+		{"accluster/internal/shard.Locked.Count", func() { _, runErr = a.l.Count(q4, Intersects) }},
+		{"accluster/internal/shard.Locked.SearchIDsBatch", func() { runErr = a.l.SearchIDsBatch(&lb, qs4, Intersects) }},
+		{"accluster.baseline.Search", func() { runErr = rs.Search(q4, Intersects, emit) }},
+		{"accluster.baseline.SearchIDsAppend", func() { bdst, runErr = rs.SearchIDsAppend(bdst[:0], q4, Intersects) }},
+		{"accluster.baseline.Count", func() { _, runErr = rs.Count(q4, Intersects) }},
+		{"accluster.baseline.SearchIDsBatch", func() { _, runErr = rs.SearchIDsBatch(bbr, qs4, Intersects) }},
 		{"accluster.Disk.Search", func() { runErr = d.Search(q4, Intersects, emit) }},
 		{"accluster.Disk.SearchIDsAppend", func() { ddst, runErr = d.SearchIDsAppend(ddst[:0], q4, Intersects) }},
 		{"accluster.Disk.Count", func() { _, runErr = d.Count(q4, Intersects) }},

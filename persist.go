@@ -1,6 +1,7 @@
 package accluster
 
 import (
+	"accluster/internal/core"
 	"accluster/internal/shard"
 	"accluster/internal/store"
 )
@@ -29,9 +30,7 @@ type CorruptError = store.CorruptError
 // synced) — a crash, I/O error or full disk at any point leaves either the
 // previous file or the complete new one, never a torn mix.
 func (a *Adaptive) SaveFile(path string) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return store.SaveFile(a.ix, path)
+	return a.l.Exclusive(func(ix *core.Index) error { return store.SaveFile(ix, path) })
 }
 
 // OpenAdaptive recovers an adaptive index from a database file written by
@@ -49,12 +48,7 @@ func OpenAdaptive(path string, opts ...Option) (*Adaptive, error) {
 	if err != nil {
 		return nil, err
 	}
-	a := newAdaptive(ix)
-	if err := a.initTelemetry(o); err != nil {
-		a.Close()
-		return nil, err
-	}
-	return a, nil
+	return newAdaptive(ix, o)
 }
 
 // SaveDir checkpoints the sharded index into a directory: one database
@@ -93,10 +87,5 @@ func OpenSharded(dir string, opts ...Option) (*Sharded, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Sharded{e: e}
-	if err := s.initTelemetry(o); err != nil {
-		s.Close()
-		return nil, err
-	}
-	return s, nil
+	return newSharded(e, o)
 }

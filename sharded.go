@@ -1,11 +1,8 @@
 package accluster
 
 import (
-	"time"
-
 	"accluster/internal/core"
 	"accluster/internal/shard"
-	"accluster/internal/telemetry"
 )
 
 // ErrNotFound is returned by Update when the object id is not present.
@@ -20,11 +17,7 @@ var ErrNotFound = core.ErrNotFound
 // different cores.
 type Sharded struct {
 	e *shard.Engine
-
-	// Flight recorder (WithTelemetry / WithTelemetryAddr); see Adaptive.
-	tel    *Telemetry
-	ownTel bool
-	qhist  *telemetry.Histogram
+	engineTelemetry
 }
 
 // NewSharded builds a sharded adaptive index for the given dimensionality.
@@ -46,6 +39,11 @@ func NewSharded(dims int, opts ...Option) (*Sharded, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newSharded(e, o)
+}
+
+// newSharded wraps an engine and attaches telemetry.
+func newSharded(e *shard.Engine, o options) (*Sharded, error) {
 	s := &Sharded{e: e}
 	if err := s.initTelemetry(o); err != nil {
 		s.Close()
@@ -56,14 +54,11 @@ func NewSharded(dims int, opts ...Option) (*Sharded, error) {
 
 // Close stops the per-shard background reorganization goroutines (no-op
 // without WithBackgroundReorg) and, when the engine owns its flight recorder
-// (WithTelemetryAddr), the telemetry sampler and endpoint. The index stays
-// usable afterwards.
+// (WithTelemetryAddr), the telemetry sampler and endpoint. It is idempotent
+// and safe to call concurrently. The index stays usable afterwards.
 func (s *Sharded) Close() error {
 	err := s.e.Close()
-	if s.ownTel && s.tel != nil {
-		_ = s.tel.Close()
-		s.ownTel = false
-	}
+	s.closeTelemetry()
 	return err
 }
 
@@ -93,43 +88,26 @@ func (s *Sharded) Get(id uint32) (Rect, bool) { return s.e.Get(id) }
 // parallel; results are emitted in shard order once all shards answered.
 // emit returning false stops the emission early.
 func (s *Sharded) Search(q Rect, rel Relation, emit func(id uint32) bool) error {
-	var t0 time.Time
-	if s.qhist != nil {
-		t0 = time.Now()
-	}
+	t0 := s.begin()
 	err := s.e.Search(q, rel, emit)
-	if s.qhist != nil {
-		s.qhist.Record(int64(time.Since(t0)))
-	}
+	s.end(t0)
 	return err
 }
 
 // SearchIDs collects all qualifying identifiers.
 func (s *Sharded) SearchIDs(q Rect, rel Relation) ([]uint32, error) {
-	var t0 time.Time
-	if s.qhist != nil {
-		t0 = time.Now()
-	}
-	ids, err := s.e.SearchIDs(q, rel)
-	if s.qhist != nil {
-		s.qhist.Record(int64(time.Since(t0)))
-	}
-	return ids, err
+	return s.SearchIDsAppend(nil, q, rel)
 }
 
 // SearchIDsAppend appends all qualifying identifiers to dst and returns the
-// extended slice; the fan-out merges the per-shard answers through pooled
-// buffers, so with a reused dst the selection performs no steady-state
-// allocations.
+// extended slice. The fan-out merges the per-shard answers through pooled
+// buffers, but it is not allocation-free: a warm selection with a reused
+// dst makes one allocation on one shard (the fan-out closure) and, with two
+// workers, seven on two or four shards (the worker goroutines on top).
 func (s *Sharded) SearchIDsAppend(dst []uint32, q Rect, rel Relation) ([]uint32, error) {
-	var t0 time.Time
-	if s.qhist != nil {
-		t0 = time.Now()
-	}
+	t0 := s.begin()
 	ids, err := s.e.SearchIDsAppend(dst, q, rel)
-	if s.qhist != nil {
-		s.qhist.Record(int64(time.Since(t0)))
-	}
+	s.end(t0)
 	return ids, err
 }
 
@@ -142,27 +120,17 @@ func (s *Sharded) SearchIDsBatch(dst *BatchResult, qs []Rect, rel Relation) (*Ba
 	if dst == nil {
 		dst = new(BatchResult)
 	}
-	var t0 time.Time
-	if s.qhist != nil {
-		t0 = time.Now()
-	}
+	t0 := s.begin()
 	err := s.e.SearchIDsBatch(&dst.b, qs, rel)
-	if s.qhist != nil {
-		s.qhist.Record(int64(time.Since(t0)))
-	}
+	s.end(t0)
 	return dst, err
 }
 
 // Count returns the number of qualifying objects.
 func (s *Sharded) Count(q Rect, rel Relation) (int, error) {
-	var t0 time.Time
-	if s.qhist != nil {
-		t0 = time.Now()
-	}
+	t0 := s.begin()
 	n, err := s.e.Count(q, rel)
-	if s.qhist != nil {
-		s.qhist.Record(int64(time.Since(t0)))
-	}
+	s.end(t0)
 	return n, err
 }
 

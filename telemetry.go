@@ -3,6 +3,8 @@ package accluster
 import (
 	"fmt"
 	"io"
+	"sync"
+	"time"
 
 	"accluster/internal/cost"
 	"accluster/internal/telemetry"
@@ -134,130 +136,145 @@ func appendMeter(dst []int64, m cost.Meter) []int64 {
 		m.CacheHits, m.CacheMisses, m.Results)
 }
 
+// engineTelemetry is the flight-recorder attachment every engine embeds: the
+// recorder, whether the engine owns it (WithTelemetryAddr) and the
+// per-query latency histogram, nil when telemetry is off.
+type engineTelemetry struct {
+	tel       *Telemetry
+	ownTel    bool
+	qhist     *telemetry.Histogram
+	closeOnce sync.Once
+}
+
+// attachTelemetry resolves the options' recorder and registers the engine's
+// gauge source and latency histogram on it. Without telemetry it does
+// nothing, and the source is never built.
+func (et *engineTelemetry) attachTelemetry(o options, source func() telemetry.Source) error {
+	t, owned, err := resolveTelemetry(o)
+	if err != nil || t == nil {
+		return err
+	}
+	et.tel, et.ownTel = t, owned
+	name := t.rec.Register(source())
+	et.qhist = t.rec.Histogram(name + ".search_ns")
+	return nil
+}
+
+// begin starts one query's latency capture, reading the clock only when
+// telemetry is on. The capture is branch-guarded rather than deferred so
+// warm query paths stay allocation-free with telemetry on.
+func (et *engineTelemetry) begin() time.Time {
+	if et.qhist == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// end records the latency of the query begun at t0.
+func (et *engineTelemetry) end(t0 time.Time) {
+	if et.qhist != nil {
+		et.qhist.RecordSince(t0)
+	}
+}
+
+// closeTelemetry stops an engine-owned recorder exactly once, however many
+// Close calls race; a shared recorder (WithTelemetry) is left running.
+func (et *engineTelemetry) closeTelemetry() {
+	et.closeOnce.Do(func() {
+		if et.ownTel {
+			_ = et.tel.Close()
+		}
+	})
+}
+
+// TelemetryAddr returns the bound address of the engine's live
+// introspection endpoint ("" when the engine was not built with
+// WithTelemetryAddr); useful with ":0".
+func (et *engineTelemetry) TelemetryAddr() string {
+	if et.tel == nil {
+		return ""
+	}
+	return et.tel.Addr()
+}
+
 // initTelemetry attaches the adaptive index to the options' recorder:
 // a gauge source covering object/cluster counts, reorg queue depth, the
 // pending-stats backlog, the epoch and the full meter, plus the per-query
 // latency histogram on the search paths.
 func (a *Adaptive) initTelemetry(o options) error {
-	t, owned, err := resolveTelemetry(o)
-	if err != nil || t == nil {
-		return err
-	}
-	a.tel, a.ownTel = t, owned
-	cols := append([]string{"objects", "clusters", "reorg_backlog", "stats_backlog",
-		"epoch", "reorg_rounds", "splits", "merges"}, meterCols...)
-	name := t.rec.Register(telemetry.Source{
-		Name: "adaptive",
-		Cols: cols,
-		Read: func(dst []int64) []int64 {
-			a.mu.RLock()
-			dst = append(dst, int64(a.ix.Len()), int64(a.ix.Clusters()),
-				int64(a.ix.ReorgBacklog()), int64(a.ix.StatsBacklog()),
-				a.ix.Epoch(), a.ix.ReorgRounds(), a.ix.Splits(), a.ix.Merges())
-			a.mu.RUnlock()
-			return appendMeter(dst, a.ix.Meter())
-		},
+	return a.attachTelemetry(o, func() telemetry.Source {
+		return telemetry.Source{
+			Name: "adaptive",
+			Cols: append([]string{"objects", "clusters", "reorg_backlog", "stats_backlog",
+				"epoch", "reorg_rounds", "splits", "merges"}, meterCols...),
+			Read: func(dst []int64) []int64 {
+				in := a.l.Info()
+				dst = append(dst, int64(in.Objects), int64(in.Clusters),
+					int64(in.ReorgBacklog), int64(in.StatsBacklog),
+					in.Epoch, in.ReorgRounds, in.Splits, in.Merges)
+				return appendMeter(dst, in.Meter)
+			},
+		}
 	})
-	a.qhist = t.rec.Histogram(name + ".search_ns")
-	return nil
 }
 
 // initTelemetry attaches the sharded index: engine-wide aggregates plus
 // per-shard object/cluster counts and reorg backlogs (the shard count is
 // fixed for the life of the engine, so the column schema is static).
 func (s *Sharded) initTelemetry(o options) error {
-	t, owned, err := resolveTelemetry(o)
-	if err != nil || t == nil {
-		return err
-	}
-	s.tel, s.ownTel = t, owned
-	cols := append([]string{"objects", "clusters", "reorg_backlog", "stats_backlog", "epoch",
-		"generation", "quarantined"}, meterCols...)
-	for i := 0; i < s.e.Shards(); i++ {
-		cols = append(cols,
-			fmt.Sprintf("shard%d_objects", i),
-			fmt.Sprintf("shard%d_clusters", i),
-			fmt.Sprintf("shard%d_reorg_backlog", i))
-	}
-	name := t.rec.Register(telemetry.Source{
-		Name: "sharded",
-		Cols: cols,
-		Read: func(dst []int64) []int64 {
-			infos := s.e.ShardInfos()
-			var objects, clusters, reorgQ, statsQ int64
-			var epoch int64
-			for _, in := range infos {
-				objects += int64(in.Objects)
-				clusters += int64(in.Clusters)
-				reorgQ += int64(in.ReorgBacklog)
-				statsQ += int64(in.StatsBacklog)
-				if in.Epoch > epoch {
-					epoch = in.Epoch
+	return s.attachTelemetry(o, func() telemetry.Source {
+		cols := append([]string{"objects", "clusters", "reorg_backlog", "stats_backlog", "epoch",
+			"generation", "quarantined"}, meterCols...)
+		for i := 0; i < s.e.Shards(); i++ {
+			cols = append(cols,
+				fmt.Sprintf("shard%d_objects", i),
+				fmt.Sprintf("shard%d_clusters", i),
+				fmt.Sprintf("shard%d_reorg_backlog", i))
+		}
+		return telemetry.Source{
+			Name: "sharded",
+			Cols: cols,
+			Read: func(dst []int64) []int64 {
+				infos := s.e.ShardInfos()
+				var objects, clusters, reorgQ, statsQ int64
+				var epoch int64
+				for _, in := range infos {
+					objects += int64(in.Objects)
+					clusters += int64(in.Clusters)
+					reorgQ += int64(in.ReorgBacklog)
+					statsQ += int64(in.StatsBacklog)
+					if in.Epoch > epoch {
+						epoch = in.Epoch
+					}
 				}
-			}
-			dst = append(dst, objects, clusters, reorgQ, statsQ, epoch,
-				int64(s.e.Generation()), int64(s.e.QuarantinedCount()))
-			dst = appendMeter(dst, s.e.Meter())
-			for _, in := range infos {
-				dst = append(dst, int64(in.Objects), int64(in.Clusters), int64(in.ReorgBacklog))
-			}
-			return dst
-		},
+				dst = append(dst, objects, clusters, reorgQ, statsQ, epoch,
+					int64(s.e.Generation()), int64(s.e.QuarantinedCount()))
+				dst = appendMeter(dst, s.e.Meter())
+				for _, in := range infos {
+					dst = append(dst, int64(in.Objects), int64(in.Clusters), int64(in.ReorgBacklog))
+				}
+				return dst
+			},
+		}
 	})
-	s.qhist = t.rec.Histogram(name + ".search_ns")
-	return nil
 }
 
 // initTelemetry attaches the disk query engine: the meter plus the decoded-
 // region cache gauges (hits/misses are part of the meter; residency,
 // eviction and pinning figures come from the cache itself).
 func (d *Disk) initTelemetry(o options) error {
-	t, owned, err := resolveTelemetry(o)
-	if err != nil || t == nil {
-		return err
-	}
-	d.tel, d.ownTel = t, owned
-	cols := append(append([]string{}, meterCols...),
-		"cache_entries", "cache_pinned", "cache_pinned_bytes",
-		"cache_used_bytes", "cache_budget_bytes", "cache_evictions", "cache_rejected")
-	name := t.rec.Register(telemetry.Source{
-		Name: "disk",
-		Cols: cols,
-		Read: func(dst []int64) []int64 {
-			dst = appendMeter(dst, d.eng.Meter())
-			cs := d.eng.CacheStats()
-			return append(dst, int64(cs.Entries), int64(cs.Pinned), cs.PinnedBytes,
-				cs.UsedBytes, cs.BudgetBytes, cs.Evictions, cs.Rejected)
-		},
+	return d.attachTelemetry(o, func() telemetry.Source {
+		return telemetry.Source{
+			Name: "disk",
+			Cols: append(append([]string{}, meterCols...),
+				"cache_entries", "cache_pinned", "cache_pinned_bytes",
+				"cache_used_bytes", "cache_budget_bytes", "cache_evictions", "cache_rejected"),
+			Read: func(dst []int64) []int64 {
+				dst = appendMeter(dst, d.eng.Meter())
+				cs := d.eng.CacheStats()
+				return append(dst, int64(cs.Entries), int64(cs.Pinned), cs.PinnedBytes,
+					cs.UsedBytes, cs.BudgetBytes, cs.Evictions, cs.Rejected)
+			},
+		}
 	})
-	d.qhist = t.rec.Histogram(name + ".search_ns")
-	return nil
-}
-
-// TelemetryAddr returns the bound address of the engine's live
-// introspection endpoint ("" when the engine was not built with
-// WithTelemetryAddr); useful with ":0".
-func (a *Adaptive) TelemetryAddr() string {
-	if a.tel == nil {
-		return ""
-	}
-	return a.tel.Addr()
-}
-
-// TelemetryAddr returns the bound address of the engine's live
-// introspection endpoint ("" without WithTelemetryAddr).
-func (s *Sharded) TelemetryAddr() string {
-	if s.tel == nil {
-		return ""
-	}
-	return s.tel.Addr()
-}
-
-// TelemetryAddr returns the bound address of the engine's live
-// introspection endpoint ("" without WithTelemetryAddr).
-func (d *Disk) TelemetryAddr() string {
-	if d.tel == nil {
-		return ""
-	}
-	return d.tel.Addr()
 }

@@ -1,10 +1,6 @@
 package accluster
 
-import (
-	"sync"
-
-	"accluster/internal/xtree"
-)
+import "accluster/internal/xtree"
 
 // XTree is the X-tree baseline (Berchtold, Keim, Kriegel, VLDB 1996): an
 // R-tree variant for high-dimensional data that avoids high-overlap splits
@@ -12,8 +8,8 @@ import (
 // larger regions. The paper discusses it as the related supernode approach
 // (§2); in very high dimensions it degenerates toward sequential scan.
 type XTree struct {
-	mu sync.Mutex
-	t  *xtree.Tree
+	baseline
+	t *xtree.Tree
 }
 
 // NewXTree builds an X-tree with 16 KB base pages by default. WithPageSize,
@@ -32,82 +28,10 @@ func NewXTree(dims int, opts ...Option) (*XTree, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &XTree{t: t}, nil
+	x := &XTree{t: t}
+	x.init(t)
+	return x, nil
 }
-
-// Insert adds an object.
-func (x *XTree) Insert(id uint32, r Rect) error {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	return x.t.Insert(id, r)
-}
-
-// Update replaces the rectangle stored under id; it returns an error
-// wrapping ErrNotFound if the id is absent.
-func (x *XTree) Update(id uint32, r Rect) error {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	return updateByReplace(x.t.Dims(), id, r, x.t.Delete, x.t.Insert)
-}
-
-// Delete removes an object, reporting whether it existed.
-func (x *XTree) Delete(id uint32) bool {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	return x.t.Delete(id)
-}
-
-// Get returns the rectangle stored under id.
-func (x *XTree) Get(id uint32) (Rect, bool) {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	return x.t.Get(id)
-}
-
-// Search walks the tree; supernodes are read sequentially.
-func (x *XTree) Search(q Rect, rel Relation, emit func(id uint32) bool) error {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	return x.t.Search(q, rel, emit)
-}
-
-// SearchIDs collects all qualifying identifiers.
-func (x *XTree) SearchIDs(q Rect, rel Relation) ([]uint32, error) {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	return x.t.SearchIDs(q, rel)
-}
-
-// SearchIDsAppend appends all qualifying identifiers to dst and returns the
-// extended slice.
-func (x *XTree) SearchIDsAppend(dst []uint32, q Rect, rel Relation) ([]uint32, error) {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	return appendViaSearch(x.t.Search, dst, q, rel)
-}
-
-// SearchIDsBatch answers every query of the batch (looped tree walks; the
-// baseline has no batch plane to exploit).
-func (x *XTree) SearchIDsBatch(dst *BatchResult, qs []Rect, rel Relation) (*BatchResult, error) {
-	return batchViaSingle(x.SearchIDsAppend, dst, qs, rel)
-}
-
-// Count returns the number of qualifying objects.
-func (x *XTree) Count(q Rect, rel Relation) (int, error) {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	return x.t.Count(q, rel)
-}
-
-// Len returns the number of stored objects.
-func (x *XTree) Len() int {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	return x.t.Len()
-}
-
-// Dims returns the data space dimensionality.
-func (x *XTree) Dims() int { return x.t.Dims() }
 
 // Nodes returns the number of tree nodes.
 func (x *XTree) Nodes() int {
@@ -128,20 +52,6 @@ func (x *XTree) Height() int {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	return x.t.Height()
-}
-
-// Stats returns a snapshot of the operation counters.
-func (x *XTree) Stats() Stats {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	return statsFrom(x.t.Meter(), x.t.Len(), x.t.Nodes(), x.t.Dims())
-}
-
-// ResetStats zeroes the operation counters.
-func (x *XTree) ResetStats() {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	x.t.ResetMeter()
 }
 
 // CheckInvariants validates the structural invariants; intended for tests.
