@@ -121,7 +121,12 @@
 // statistics (per-cluster and per-candidate indicators plus the decayed
 // window), so OpenAdaptive and OpenSharded resume adaptation warm instead
 // of re-learning the query distribution from scratch. Version-1 segments
-// still load and re-gather statistics.
+// still load and re-gather statistics. A cluster's candidate subclusters
+// are bookkept per dimension: one small grid per refined dimension holds
+// the division cuts and the candidate numbering of each row, so recording
+// a query's matched candidates or counting a member in or out takes a few
+// cut comparisons per dimension, and each candidate stores only its two
+// indicators (membership count and decayed query count).
 //
 // Steady-state searches on Adaptive and Disk are allocation-free: the
 // verification bitmap, the matching-cluster list and the statistics delta

@@ -13,39 +13,208 @@
 package core
 
 import (
+	"fmt"
+
 	"accluster/internal/geom"
 	"accluster/internal/sig"
 )
 
 // candSet stores the virtual candidate subclusters of one materialized
-// cluster (paper §3.1) in parallel structure-of-arrays columns: the split
-// defining each candidate, its cached variation-interval bounds for the
-// refined dimension, and its performance indicators. The columnar layout
-// matters because every exploration updates the query indicator of every
-// candidate — with the bounds packed contiguously that pass streams a few
-// bytes per candidate instead of striding through per-candidate records.
+// cluster (paper §3.1) as one small grid per refined dimension. On a
+// dimension the clustering function refines, the candidates are the
+// feasible cells (ia, ib) of an fa×fb grid whose boundaries are the cuts of
+// the start and end variation intervals (sig.Cuts, the bounds Split.Bounds
+// derives). They are numbered in sig.Enumerate order — dimension by
+// dimension, row ia by row, and within a row over its feasible end cells,
+// which form a suffix — so cell (ia, ib) is candidate rows[ia+1]−fb+ib,
+// feasible iff that is at least rows[ia].
+//
+// Only the grids (a few dozen bytes per refined dimension) and the two
+// indicators are stored per cluster. Because the cuts are non-decreasing,
+// the start and end cells a query matches on a dimension are a prefix or a
+// suffix of each side, and an object lies in one cell per side (several
+// only at the closed top, 1): recording a query or counting a member costs
+// a few cut comparisons per dimension plus the matched runs, not a test
+// per candidate.
 type candSet struct {
-	sp       []sig.Split
-	dim      []int32   // sp[i].Dim, the hot copy for the query-stat pass
-	aLo, aHi []float32 // variation interval for interval starts
-	bLo, bHi []float32 // variation interval for interval ends
-	n        []int32   // objects of the owner matching the candidate
-	q        []float64 // decayed count of queries matching the candidate
+	grid []gridDim
+	cuts []float32 // per grid: fa+1 start cuts, then fb+1 end cuts
+	rows []int32   // per grid: fa+1 row bounds; row ia is [rows[ia], rows[ia+1])
+	n    []int32   // objects of the owner matching the candidate
+	q    []float64 // decayed count of queries matching the candidate
+}
+
+// gridDim locates one refined dimension's grid in candSet.cuts and
+// candSet.rows.
+type gridDim struct {
+	dim      int32 // the refined data-space dimension
+	fa, fb   int32 // start and end cells (sig.Factor)
+	cut, row int32 // offsets of the grid's cuts and row bounds
+}
+
+// build builds the candidate grids of signature s under division factor f.
+// It checks the two properties the cell arithmetic relies on: every side's
+// cuts are non-decreasing and at most 1, and every row's feasible cells are
+// a suffix of the row. Both hold for every signature inside the unit domain
+// (sig.Signature.Valid; Restore rejects any other), so a violation is a bug
+// and panics.
+func (cs *candSet) build(s sig.Signature, f int) {
+	dims := s.Dims()
+	ng, ncut, nrow := 0, 0, 0
+	for d := 0; d < dims; d++ {
+		fa, fb := sig.Factor(s.ALo[d], s.AHi[d], f), sig.Factor(s.BLo[d], s.BHi[d], f)
+		if fa > 1 || fb > 1 {
+			ng, ncut, nrow = ng+1, ncut+fa+fb+2, nrow+fa+1
+		}
+	}
+	cs.grid = make([]gridDim, 0, ng)
+	cs.cuts = make([]float32, 0, ncut)
+	cs.rows = make([]int32, 0, nrow)
+	k := int32(0)
+	for d := 0; d < dims; d++ {
+		fa, fb := sig.Factor(s.ALo[d], s.AHi[d], f), sig.Factor(s.BLo[d], s.BHi[d], f)
+		if fa == 1 && fb == 1 {
+			continue
+		}
+		g := gridDim{dim: int32(d), fa: int32(fa), fb: int32(fb), cut: int32(len(cs.cuts)), row: int32(len(cs.rows))}
+		cs.cuts = sig.Cuts(cs.cuts, s.ALo[d], s.AHi[d], fa)
+		cs.cuts = sig.Cuts(cs.cuts, s.BLo[d], s.BHi[d], fb)
+		a, b, _ := cs.sides(g)
+		if !ascendingToOne(a) || !ascendingToOne(b) {
+			panic(fmt.Sprintf("core: signature %v: dimension %d cuts %v / %v are not non-decreasing up to 1", s, d, a, b))
+		}
+		for ia := 0; ia < fa; ia++ {
+			cs.rows = append(cs.rows, k)
+			for ib := 0; ib < fb; ib++ {
+				if sig.Feasible(a[ia], b[ib+1]) {
+					k++
+				} else if k > cs.rows[len(cs.rows)-1] {
+					panic(fmt.Sprintf("core: signature %v: dimension %d row %d has an infeasible cell after a feasible one", s, d, ia))
+				}
+			}
+		}
+		cs.rows = append(cs.rows, k)
+		cs.grid = append(cs.grid, g)
+	}
+	cs.n = make([]int32, k)
+	cs.q = make([]float64, k)
+}
+
+// ascendingToOne reports whether the cuts c are non-decreasing (NaN-free)
+// and end at most at 1.
+func ascendingToOne(c []float32) bool {
+	for i := 1; i < len(c); i++ {
+		if !(c[i-1] <= c[i]) {
+			return false
+		}
+	}
+	return c[len(c)-1] <= 1
 }
 
 // len returns the number of candidates.
-func (cs *candSet) len() int { return len(cs.sp) }
+func (cs *candSet) len() int { return len(cs.n) }
 
-// matchesObjectDim reports whether an owner member with the refined
-// dimension's interval [lo,hi] qualifies for candidate i.
-func (cs *candSet) matchesObjectDim(i int, lo, hi float32) bool {
-	return sig.InVar(lo, cs.aLo[i], cs.aHi[i]) && sig.InVar(hi, cs.bLo[i], cs.bHi[i])
+// sides returns grid g's start cuts, end cuts and row bounds.
+//
+//ac:noalloc
+func (cs *candSet) sides(g gridDim) (a, b []float32, rows []int32) {
+	a = cs.cuts[g.cut : g.cut+g.fa+1]
+	b = cs.cuts[g.cut+g.fa+1 : g.cut+g.fa+g.fb+2]
+	return a, b, cs.rows[g.row : g.row+g.fa+1]
 }
 
-// matchesQueryDim reports whether a query already matching the owner also
-// matches candidate i on the refined dimension.
-func (cs *candSet) matchesQueryDim(i int, rel geom.Relation, qlo, qhi float32) bool {
-	return sig.QueryDimMatch(rel, qlo, qhi, cs.aLo[i], cs.aHi[i], cs.bLo[i], cs.bHi[i])
+// split returns the grid holding candidate k and the split naming it.
+func (cs *candSet) split(k int) (gridDim, sig.Split) {
+	for _, g := range cs.grid {
+		_, _, rows := cs.sides(g)
+		if int32(k) >= rows[g.fa] {
+			continue
+		}
+		ia := int(g.fa) - 1
+		for int32(k) < rows[ia] {
+			ia--
+		}
+		ib := k - int(rows[ia+1]-g.fb)
+		return g, sig.Split{Dim: int(g.dim), IA: ia, IB: ib, FA: int(g.fa), FB: int(g.fb)}
+	}
+	panic(fmt.Sprintf("core: candidate %d of %d", k, cs.len()))
+}
+
+// prefixLE returns the number of leading cuts at most x (0 for NaN x). The
+// cuts are non-decreasing, so that is the number of cuts at most x, counted
+// without a data-dependent branch.
+//
+//ac:noalloc
+func prefixLE(c []float32, x float32) int {
+	n := 0
+	for _, v := range c {
+		if v <= x {
+			n++
+		}
+	}
+	return n
+}
+
+// suffixGE returns the start of the trailing cuts at least x (len(c) when
+// there are none, and for NaN x), counted like prefixLE.
+//
+//ac:noalloc
+func suffixGE(c []float32, x float32) int {
+	n := len(c)
+	for _, v := range c {
+		if v >= x {
+			n--
+		}
+	}
+	return n
+}
+
+// cells returns the cells [i0,i1) of one grid side, with cuts c, whose
+// variation interval holds x: [c[i],c[i+1]), closed at the top when
+// c[i+1] == 1 (sig.InVar). Below 1, x lies in at most one cell. x == 1 lies
+// in every cell whose top cut is 1: the last cell, and also the zero-width
+// cells at 1 and the cell under an interior cut that rounded to 1.
+func cells(c []float32, x float32) (i0, i1 int) {
+	f := len(c) - 1
+	p := prefixLE(c, x)
+	switch {
+	case p == 0:
+		return 0, 0
+	case p <= f:
+		return p - 1, p
+	case x != 1 || c[f] != 1:
+		return 0, 0
+	}
+	i0 = f - 1
+	for i0 > 0 && c[i0] == 1 {
+		i0--
+	}
+	return i0, f
+}
+
+// bump adds delta to the membership indicator of the feasible candidates
+// among cells [ia0,ia1)×[ib0,ib1) of the grid with row bounds rows and fb
+// end cells.
+func (cs *candSet) bump(rows []int32, fb int32, ia0, ia1, ib0, ib1 int, delta int32) {
+	for ia := ia0; ia < ia1; ia++ {
+		end := rows[ia+1] - fb
+		for ib := ib0; ib < ib1; ib++ {
+			if k := end + int32(ib); k >= rows[ia] {
+				cs.n[k] += delta
+			}
+		}
+	}
+}
+
+// count adds delta to the membership indicator of every candidate holding
+// member i of the coordinate columns lo, hi.
+func (cs *candSet) count(lo, hi [][]float32, i int, delta int32) {
+	for _, g := range cs.grid {
+		a, b, rows := cs.sides(g)
+		ia0, ia1 := cells(a, lo[g.dim][i])
+		ib0, ib1 := cells(b, hi[g.dim][i])
+		cs.bump(rows, g.fb, ia0, ia1, ib0, ib1, delta)
+	}
 }
 
 // Cluster is a materialized group of objects accessed and checked together
@@ -148,23 +317,7 @@ func newCluster(s sig.Signature, f int) *Cluster {
 		hi:          make([][]float32, s.Dims()),
 		activeSplit: -1,
 	}
-	splits := sig.Enumerate(s, f)
-	c.cands = candSet{
-		sp:  splits,
-		dim: make([]int32, len(splits)),
-		aLo: make([]float32, len(splits)),
-		aHi: make([]float32, len(splits)),
-		bLo: make([]float32, len(splits)),
-		bHi: make([]float32, len(splits)),
-		n:   make([]int32, len(splits)),
-		q:   make([]float64, len(splits)),
-	}
-	for i, sp := range splits {
-		aLo, aHi, bLo, bHi := sp.Bounds(s)
-		c.cands.dim[i] = int32(sp.Dim)
-		c.cands.aLo[i], c.cands.aHi[i] = aLo, aHi
-		c.cands.bLo[i], c.cands.bHi[i] = bLo, bHi
-	}
+	c.cands.build(s, f)
 	return c
 }
 
@@ -203,12 +356,7 @@ func (c *Cluster) grow() {
 // appendObject adds one member and updates the candidate indicators.
 func (c *Cluster) appendObject(id uint32, r geom.Rect) int {
 	pos := c.appendCoords(id, r.Min, r.Max)
-	cs := &c.cands
-	for i, d := range cs.dim {
-		if cs.matchesObjectDim(i, r.Min[d], r.Max[d]) {
-			cs.n[i]++
-		}
-	}
+	c.cands.count(c.lo, c.hi, pos, 1)
 	return pos
 }
 
@@ -228,9 +376,17 @@ func (c *Cluster) appendCoords(id uint32, min, max []float32) int {
 }
 
 // appendFrom appends member i of src (same dimensionality) and updates the
-// candidate indicators, copying straight between coordinate columns without
-// materializing a Rect; reorganizations move objects through this path.
+// candidate indicators; merges move objects through this path.
 func (c *Cluster) appendFrom(src *Cluster, i int) int {
+	pos := c.appendRow(src, i)
+	c.cands.count(c.lo, c.hi, pos, 1)
+	return pos
+}
+
+// appendRow appends member i of src without touching the candidate
+// indicators, copying straight between coordinate columns without
+// materializing a Rect.
+func (c *Cluster) appendRow(src *Cluster, i int) int {
 	pos := len(c.ids)
 	if cap(c.ids) == len(c.ids) {
 		c.grow()
@@ -240,32 +396,20 @@ func (c *Cluster) appendFrom(src *Cluster, i int) int {
 		c.lo[d] = append(c.lo[d], src.lo[d][i])
 		c.hi[d] = append(c.hi[d], src.hi[d][i])
 	}
-	cs := &c.cands
-	for k, d := range cs.dim {
-		lo, hi := src.objectDim(i, int(d))
-		if cs.matchesObjectDim(k, lo, hi) {
-			cs.n[k]++
-		}
-	}
 	return pos
-}
-
-// objectDim returns the [lo,hi] interval of member i in dimension d.
-func (c *Cluster) objectDim(i, d int) (lo, hi float32) {
-	return c.lo[d][i], c.hi[d][i]
 }
 
 // removeObjectAt swap-removes member i and updates candidate indicators.
 // It returns the id that was moved into slot i (or 0 and false when the
 // removed member was the last one).
 func (c *Cluster) removeObjectAt(i int) (movedID uint32, moved bool) {
-	cs := &c.cands
-	for k, d := range cs.dim {
-		lo, hi := c.objectDim(i, int(d))
-		if cs.matchesObjectDim(k, lo, hi) {
-			cs.n[k]--
-		}
-	}
+	c.cands.count(c.lo, c.hi, i, -1)
+	return c.removeRow(i)
+}
+
+// removeRow swap-removes member i without touching the candidate
+// indicators; see removeObjectAt.
+func (c *Cluster) removeRow(i int) (movedID uint32, moved bool) {
 	last := len(c.ids) - 1
 	if i != last {
 		c.ids[i] = c.ids[last]
@@ -281,6 +425,35 @@ func (c *Cluster) removeObjectAt(i int) (movedID uint32, moved bool) {
 		c.hi[d] = c.hi[d][:last]
 	}
 	return movedID, moved
+}
+
+// moveCounts moves member i of c from c's candidate indicators to those of
+// child, the cluster materializing a candidate of c on dimension refined.
+// Off that dimension the child's signature equals c's, so its grids are
+// c's grids under its own candidate numbering: the member's cells there are
+// found once and counted in both clusters. Call it while member i is still
+// in c's columns.
+func moveCounts(c, child *Cluster, i int, refined int32) {
+	pc, cc := &c.cands, &child.cands
+	j := 0 // child's grid for the next dimension c refines
+	for _, g := range pc.grid {
+		a, b, rows := pc.sides(g)
+		x, y := c.lo[g.dim][i], c.hi[g.dim][i]
+		ia0, ia1 := cells(a, x)
+		ib0, ib1 := cells(b, y)
+		pc.bump(rows, g.fb, ia0, ia1, ib0, ib1, -1)
+		if j == len(cc.grid) || cc.grid[j].dim != g.dim {
+			continue // the child leaves this dimension unrefined
+		}
+		h := cc.grid[j]
+		j++
+		ca, cb, crows := cc.sides(h)
+		if g.dim == refined {
+			ia0, ia1 = cells(ca, x)
+			ib0, ib1 = cells(cb, y)
+		}
+		cc.bump(crows, h.fb, ia0, ia1, ib0, ib1, 1)
+	}
 }
 
 // rectAt materializes member i as a Rect.

@@ -36,9 +36,11 @@ type Config struct {
 	// ReorgBudgetObjects caps the object relocations performed per
 	// incremental reorganization step (default 128; negative =
 	// unlimited). Merges and materializations are chunked across steps,
-	// so the cap bounds every step — a relocation costs on the order of a
-	// microsecond, making the default step comparable to a moderately
-	// selective query.
+	// so the cap bounds every step. A relocation costs about 2 µs,
+	// revisit work included (16-d range queries of selectivity 5e-3 over
+	// 50 000 objects on a 2-vCPU VM: about 50 relocations for about
+	// 100 µs of steps per query), making a full default step comparable
+	// to a moderately selective query.
 	ReorgBudgetObjects int
 	// BackgroundReorg defers queue draining to an external agent: Search
 	// only opens reorganization epochs and never runs revisits itself;

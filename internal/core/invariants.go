@@ -82,26 +82,28 @@ func (ix *Index) CheckInvariants() error {
 				return fmt.Errorf("object %d does not match its cluster signature %v", id, c.signature)
 			}
 		}
+		// The reference candidates come from the clustering function
+		// itself, independent of the grids that number them.
 		cs := &c.cands
-		for k := 0; k < cs.len(); k++ {
+		splits := sig.Enumerate(c.signature, ix.cfg.DivisionFactor)
+		if len(splits) != cs.len() {
+			return fmt.Errorf("cluster %v: %d candidates, clustering function derives %d", c.signature, cs.len(), len(splits))
+		}
+		for k, sp := range splits {
 			n := int32(0)
 			for i := range c.ids {
-				lo, hi := c.objectDim(i, int(cs.dim[k]))
-				if cs.matchesObjectDim(k, lo, hi) {
+				if sp.MatchesObjectDim(c.signature, c.lo[sp.Dim][i], c.hi[sp.Dim][i]) {
 					n++
 				}
 			}
 			if n != cs.n[k] {
-				return fmt.Errorf("cluster %v candidate %d: n=%d, recomputed %d", c.signature, k, cs.n[k], n)
+				return fmt.Errorf("cluster %v candidate %d (%+v): n=%d, recomputed %d", c.signature, k, sp, cs.n[k], n)
 			}
 			if cs.q[k] < 0 || c.q < 0 {
 				return fmt.Errorf("negative query statistics")
 			}
 			if cs.q[k] > c.q+1e-9 {
 				return fmt.Errorf("candidate explored more often than its cluster")
-			}
-			if int(cs.dim[k]) != cs.sp[k].Dim {
-				return fmt.Errorf("cluster %v candidate %d: dim column out of sync", c.signature, k)
 			}
 		}
 		if c.statsEpoch > ix.epoch {

@@ -113,31 +113,36 @@ func (ix *Index) searchOne(q geom.Rect, rel geom.Relation, emit func(id uint32) 
 }
 
 // recordCandidateStats records the candidate subclusters virtually explored
-// by the query (the relation-specific necessary conditions of
-// sig.QueryDimMatch, specialized per relation so the pass over the candidate
-// array carries no per-candidate dispatch) into the statistics delta; the
-// matching indicators are incremented when the delta is applied.
+// by the query into the statistics delta; the matching indicators are
+// incremented when the delta is applied. A candidate matches when its
+// refined dimension meets the relation's necessary condition
+// (Split.MatchesQueryDim), which tests one start-side and one end-side cut
+// against the query. The cuts are non-decreasing, so on each grid the
+// matched start cells and end cells are a prefix or a suffix, and each row
+// contributes one contiguous run of candidate indices.
 //
 //ac:noalloc
 func recordCandidateStats(c *Cluster, q geom.Rect, rel geom.Relation, d *statDelta) {
 	cs := &c.cands
-	switch rel {
-	case geom.Intersects:
-		for i, dd := range cs.dim {
-			if cs.aLo[i] <= q.Max[dd] && q.Min[dd] <= cs.bHi[i] {
-				d.cands = append(d.cands, int32(i))
-			}
+	for _, g := range cs.grid {
+		a, b, rows := cs.sides(g)
+		qlo, qhi := q.Min[g.dim], q.Max[g.dim]
+		ia0, ia1, ib0, ib1 := 0, int(g.fa), 0, int(g.fb)
+		switch rel {
+		case geom.Intersects: // aLo ≤ qhi and qlo ≤ bHi
+			ia1 = prefixLE(a[:g.fa], qhi)
+			ib0 = suffixGE(b[1:], qlo)
+		case geom.ContainedBy: // aHi ≥ qlo and bLo ≤ qhi
+			ia0 = suffixGE(a[1:], qlo)
+			ib1 = prefixLE(b[:g.fb], qhi)
+		case geom.Encloses: // aLo ≤ qlo and bHi ≥ qhi
+			ia1 = prefixLE(a[:g.fa], qlo)
+			ib0 = suffixGE(b[1:], qhi)
 		}
-	case geom.ContainedBy:
-		for i, dd := range cs.dim {
-			if cs.aHi[i] >= q.Min[dd] && cs.bLo[i] <= q.Max[dd] {
-				d.cands = append(d.cands, int32(i))
-			}
-		}
-	case geom.Encloses:
-		for i, dd := range cs.dim {
-			if cs.aLo[i] <= q.Min[dd] && cs.bHi[i] >= q.Max[dd] {
-				d.cands = append(d.cands, int32(i))
+		for ia := ia0; ia < ia1; ia++ {
+			end := rows[ia+1] - g.fb
+			for k := max(end+int32(ib0), rows[ia]); k < end+int32(ib1); k++ {
+				d.cands = append(d.cands, k)
 			}
 		}
 	}

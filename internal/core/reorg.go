@@ -28,6 +28,8 @@ package core
 // semantics are equivalent; only the position of the merge/split work in the
 // query stream changes.
 
+import "accluster/internal/sig"
+
 // Reorganize drains the reorganization queue until it converges: a new epoch
 // is opened (decaying the statistics window exactly once, as the synchronous
 // full pass did) and then every pending revisit runs with no budget. It is
@@ -219,7 +221,8 @@ func (ix *Index) splitUnderBudget(c *Cluster, objectBudget int) (moved int, done
 // remainder.
 func (ix *Index) materialize(c *Cluster, ci int, limit int) (*Cluster, int) {
 	cs := &c.cands
-	csig := cs.sp[ci].Child(c.signature)
+	g, sp := cs.split(ci)
+	csig := sp.Child(c.signature)
 	var child *Cluster
 	for _, ch := range c.children {
 		if ch.signature.Equal(csig) {
@@ -246,7 +249,8 @@ func (ix *Index) materialize(c *Cluster, ci int, limit int) (*Cluster, int) {
 	// members anywhere, so the walk re-checks swapped-in slots and wraps
 	// around once if the candidate's indicator says members remain.
 	moved := 0
-	dim := int(cs.dim[ci])
+	a, b, _ := cs.sides(g)
+	aLo, aHi, bLo, bHi := a[sp.IA], a[sp.IA+1], b[sp.IB], b[sp.IB+1]
 	i := c.splitCursor
 	wrapped := false
 	for {
@@ -264,14 +268,14 @@ func (ix *Index) materialize(c *Cluster, ci int, limit int) (*Cluster, int) {
 		if limit >= 0 && moved >= limit {
 			break
 		}
-		lo, hi := c.objectDim(i, dim)
-		if !cs.matchesObjectDim(ci, lo, hi) {
+		if !sig.InVar(c.lo[g.dim][i], aLo, aHi) || !sig.InVar(c.hi[g.dim][i], bLo, bHi) {
 			i--
 			continue
 		}
 		id := c.ids[i]
-		pos := child.appendFrom(c, i)
-		movedID, swapped := c.removeObjectAt(i)
+		pos := child.appendRow(c, i)
+		moveCounts(c, child, i, g.dim)
+		movedID, swapped := c.removeRow(i)
 		ix.loc[id] = objLoc{c: child, pos: int32(pos)}
 		if swapped {
 			ix.loc[movedID] = objLoc{c: c, pos: int32(i)}

@@ -132,6 +132,9 @@ func Restore(cfg Config, snap []ClusterSnapshot) (*Index, error) {
 		if cs.Signature.Dims() != cfg.Dims {
 			return nil, fmt.Errorf("core: snapshot cluster %d has %d dims, want %d", i, cs.Signature.Dims(), cfg.Dims)
 		}
+		if !cs.Signature.Valid() {
+			return nil, fmt.Errorf("core: snapshot cluster %d has a signature outside the unit domain: %v", i, cs.Signature)
+		}
 		if cs.Parent < 0 || cs.Parent >= len(snap) || cs.Parent == i {
 			return nil, fmt.Errorf("core: snapshot cluster %d has invalid parent %d", i, cs.Parent)
 		}
@@ -162,6 +165,9 @@ func Restore(cfg Config, snap []ClusterSnapshot) (*Index, error) {
 				return nil, fmt.Errorf("core: snapshot contains duplicate object id %d", id)
 			}
 			r := geomFromSnapshot(cs.Data, k, cfg.Dims)
+			if !r.Valid() {
+				return nil, fmt.Errorf("core: snapshot object %d is not a valid rectangle: %v", id, r)
+			}
 			if !c.signature.MatchesObject(r) {
 				return nil, fmt.Errorf("core: snapshot object %d does not match cluster %d signature", id, i)
 			}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"accluster/internal/geom"
+	"accluster/internal/sig"
 )
 
 // TestCandidateStatsMatchReference checks the statistics a query publishes
@@ -13,9 +14,9 @@ import (
 // pass: after one query and a drain, a cluster's Q rose by 1 exactly when its
 // signature matches the query (Signature.MatchesQuery), a matched cluster's
 // candidate q rose by 1 exactly when the candidate's refined dimension
-// matches too (candSet.matchesQueryDim), the window ticked once, and nothing
-// else moved. Every query stays inside one epoch, so no decay blurs the
-// comparison. It covers every relation, range, point and NaN queries, dims
+// matches too (Split.MatchesQueryDim on the candidates sig.Enumerate
+// derives), the window ticked once, and nothing else moved. Every query
+// stays inside one epoch, so no decay blurs the comparison. It covers every relation, range, point and NaN queries, dims
 // 1–6, and each single-query sink plus a batch of one.
 func TestCandidateStatsMatchReference(t *testing.T) {
 	rels := []geom.Relation{geom.Intersects, geom.ContainedBy, geom.Encloses}
@@ -114,13 +115,14 @@ func TestCandidateStatsMatchReference(t *testing.T) {
 				if got, want := c.q-q0[k], b2f(matched); got != want {
 					t.Fatalf("dims=%d query %d %v rel=%v: cluster %d (%s) Q moved by %g, want %g", dims, i, q, rel, k, c.Signature(), got, want)
 				}
-				for j, d := range c.cands.dim {
-					want := b2f(matched && c.cands.matchesQueryDim(j, rel, q.Min[d], q.Max[d]))
+				for j, sp := range sig.Enumerate(c.Signature(), ix.cfg.DivisionFactor) {
+					d := sp.Dim
+					want := b2f(matched && sp.MatchesQueryDim(c.Signature(), rel, q.Min[d], q.Max[d]))
 					if matched {
 						bumped[want == 1]++
 					}
 					if got := c.cands.q[j] - cq0[k][j]; got != want {
-						t.Fatalf("dims=%d query %d %v rel=%v: cluster %d candidate %d (%+v) q moved by %g, want %g", dims, i, q, rel, k, j, c.cands.sp[j], got, want)
+						t.Fatalf("dims=%d query %d %v rel=%v: cluster %d candidate %d (%+v) q moved by %g, want %g", dims, i, q, rel, k, j, sp, got, want)
 					}
 				}
 			}

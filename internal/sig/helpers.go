@@ -7,12 +7,6 @@ import "accluster/internal/geom"
 // candidate bounds instead of re-deriving them through Split.Bounds.
 func InVar(x, lo, hi float32) bool { return inVar(x, lo, hi) }
 
-// QueryDimMatch evaluates the per-dimension query/signature necessary
-// condition for the given relation over explicit variation-interval bounds.
-func QueryDimMatch(rel geom.Relation, qlo, qhi, alo, ahi, blo, bhi float32) bool {
-	return queryMatchesDim(rel, qlo, qhi, alo, ahi, blo, bhi)
-}
-
 // MatchBounds scans a flat signature mirror — n signatures stored as 4·dims
 // contiguous floats [aLo,aHi,bLo,bHi] per dimension — and appends the
 // positions of the signatures matching the query to dst, in mirror order.

@@ -69,6 +69,20 @@ func (s Signature) Equal(o Signature) bool {
 	return true
 }
 
+// Valid reports whether every variation interval of s lies inside the unit
+// domain with its lower bound at most its upper bound: 0 ≤ ALo ≤ AHi ≤ 1 and
+// 0 ≤ BLo ≤ BHi ≤ 1 in every dimension, NaN-free. Root and every Split.Child
+// of a valid signature are valid.
+func (s Signature) Valid() bool {
+	for d := range s.ALo {
+		if !(0 <= s.ALo[d] && s.ALo[d] <= s.AHi[d] && s.AHi[d] <= 1) ||
+			!(0 <= s.BLo[d] && s.BLo[d] <= s.BHi[d] && s.BHi[d] <= 1) {
+			return false
+		}
+	}
+	return true
+}
+
 // IsRoot reports whether s places no constraint on any dimension.
 func (s Signature) IsRoot() bool {
 	for d := range s.ALo {

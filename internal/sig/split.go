@@ -34,6 +34,19 @@ func subBound(lo, hi float32, k, f int) float32 {
 	}
 }
 
+// Cuts appends the f+1 division bounds of [lo,hi] cut into f parts to dst:
+// cut k is the lower bound Split.Bounds derives for subinterval k and the
+// upper bound it derives for subinterval k−1. For 0 ≤ lo ≤ hi ≤ 1 the cuts
+// are non-decreasing and stay inside [lo,hi] (every rounding step is
+// monotone), but adjacent cuts may coincide, and an interior cut may round
+// to hi.
+func Cuts(dst []float32, lo, hi float32, f int) []float32 {
+	for k := 0; k <= f; k++ {
+		dst = append(dst, subBound(lo, hi, k, f))
+	}
+	return dst
+}
+
 // Bounds derives the candidate's variation intervals for the refined
 // dimension from the parent signature.
 func (sp Split) Bounds(parent Signature) (aLo, aHi, bLo, bHi float32) {
@@ -84,55 +97,49 @@ func (sp Split) MatchesQueryDim(parent Signature, rel geom.Relation, qlo, qhi fl
 //     candidates;
 //   - the identity combination equal to the parent signature.
 //
-// The result length is therefore at most dims·f².
+// Candidates are emitted dimension by dimension, and within a dimension row
+// by row (IA ascending, then IB ascending); for a Valid parent, each row's
+// feasible cells form a suffix of the row. The result length is therefore
+// at most dims·f².
 func Enumerate(parent Signature, f int) []Split {
 	if f < 2 {
 		return nil
 	}
 	var out []Split
 	for d := 0; d < parent.Dims(); d++ {
-		fa, fb := f, f
-		aw := parent.AHi[d] - parent.ALo[d]
-		bw := parent.BHi[d] - parent.BLo[d]
-		if aw <= 0 {
-			fa = 1
-		}
-		if bw <= 0 {
-			fb = 1
-		}
-		if fa == 1 && fb == 1 {
-			continue
-		}
-		// Guard against float underflow: if subdividing produces
-		// zero-width intervals, leave the side unrefined.
-		if fa > 1 && parent.ALo[d]+aw/float32(fa) == parent.ALo[d] {
-			fa = 1
-		}
-		if fb > 1 && parent.BLo[d]+bw/float32(fb) == parent.BLo[d] {
-			fb = 1
-		}
+		fa, fb := Factor(parent.ALo[d], parent.AHi[d], f), Factor(parent.BLo[d], parent.BHi[d], f)
 		if fa == 1 && fb == 1 {
 			continue
 		}
 		for ia := 0; ia < fa; ia++ {
 			for ib := 0; ib < fb; ib++ {
-				if fa == 1 && fb == 1 {
-					continue
-				}
 				sp := Split{Dim: d, IA: ia, IB: ib, FA: fa, FB: fb}
 				aLo, _, _, bHi := sp.Bounds(parent)
-				// Feasibility: some object must satisfy lo ≤ hi
-				// with lo ≥ aLo and hi < bHi (≤ when closed).
-				if aLo > bHi || (aLo == bHi && bHi != 1) {
-					continue
+				if Feasible(aLo, bHi) {
+					out = append(out, sp)
 				}
-				out = append(out, sp)
 			}
 		}
 	}
 	return out
 }
 
-// MaxCandidates returns the upper bound dims·f² on the number of candidates
-// produced by Enumerate, useful for sizing.
-func MaxCandidates(dims, f int) int { return dims * f * f }
+// Factor returns the number of subintervals Enumerate divides the variation
+// interval [lo,hi) into under division factor f: f, or 1 when the interval
+// is left whole — degenerate (zero width), or too narrow for its first
+// subinterval to be wider than zero in float32. A dimension whose start and
+// end intervals both have factor 1 yields no candidates.
+func Factor(lo, hi float32, f int) int {
+	w := hi - lo
+	if w <= 0 || lo+w/float32(f) == lo {
+		return 1
+	}
+	return f
+}
+
+// Feasible reports whether a candidate whose start subinterval begins at aLo
+// and whose end subinterval ends at bHi can host an object: some lo ≥ aLo
+// and hi < bHi (≤ when bHi is the closed domain maximum 1) with lo ≤ hi.
+func Feasible(aLo, bHi float32) bool {
+	return !(aLo > bHi || (aLo == bHi && bHi != 1))
+}

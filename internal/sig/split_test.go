@@ -222,14 +222,3 @@ func TestEnumerateRejectsSmallFactor(t *testing.T) {
 		t.Error("division factor < 2 must produce no candidates")
 	}
 }
-
-func TestMaxCandidates(t *testing.T) {
-	if MaxCandidates(16, 4) != 256 {
-		t.Errorf("MaxCandidates(16,4) = %d, want 256", MaxCandidates(16, 4))
-	}
-	// Paper §6: 16-dim space has between 160 and 256 candidates.
-	n := len(Enumerate(Root(16), 4))
-	if n < 160 || n > 256 {
-		t.Errorf("root candidates for 16 dims = %d, want within [160,256]", n)
-	}
-}
