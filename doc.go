@@ -177,9 +177,12 @@
 // Stats.CacheMisses record the split; ObjectsVerified accrues either way),
 // while missed regions are fetched with seek-coalescing readahead
 // (WithReadahead, default 256 KiB) — regions adjacent or near-adjacent on
-// the device merge into single sequential reads, one Seek each. The cache
-// is invalidated by reopening: a Disk opened after a new SaveFile starts a
-// fresh cache generation. Fully cached selections allocate nothing.
+// the device merge into single sequential reads, one Seek each. A missed
+// region is transposed from the device's row-major records into columns by
+// the CPUID-selected kernel (AVX2 8×8 tiles where the CPU has them, the
+// portable loop otherwise). The cache is invalidated by reopening: a Disk
+// opened after a new SaveFile starts a fresh cache generation. Fully cached
+// selections allocate nothing.
 //
 // # Durability and recovery
 //

@@ -45,17 +45,20 @@ var generation atomic.Uint64
 func NextGen() uint64 { return generation.Add(1) }
 
 // Region is one decoded cluster region in the core's structure-of-arrays
-// column layout: IDs[i] pairs with Lo[d][i], Hi[d][i]. The columns are
-// slab-backed (one allocation) and sized to the live member count, so the
-// verification kernels (internal/geom) run over them directly. While a
-// Region is pinned its columns are immutable and safe to read from any
-// number of goroutines.
+// column layout: IDs[i] pairs with Lo[d][i], Hi[d][i]. The columns live in
+// one slab sized to the live member count n, column j being
+// slab[j·n:(j+1)·n]: Lo[d] is column 2d and Hi[d] column 2d+1. Cols exposes
+// that slab, so a decoder fills every column in one pass
+// (store.DecodeRegionColumns), and the verification kernels
+// (internal/geom) run over Lo and Hi directly. While a Region is pinned its
+// columns are immutable and safe to read from any number of goroutines.
 type Region struct {
 	IDs []uint32
 	Lo  [][]float32 // Lo[d][i] = interval start of member i in dimension d
 	Hi  [][]float32 // Hi[d][i] = interval end of member i in dimension d
 
 	slab  []float32
+	heads [][]float32 // Lo's and Hi's headers, one array: Lo = heads[:dims]
 	bytes int64
 
 	// Cache bookkeeping, guarded by the owning Cache's mutex.
@@ -79,12 +82,11 @@ func (r *Region) Reset(n, dims int) {
 	} else {
 		r.IDs = r.IDs[:n]
 	}
-	if cap(r.Lo) < dims {
-		r.Lo = make([][]float32, dims)
-		r.Hi = make([][]float32, dims)
-	} else {
-		r.Lo, r.Hi = r.Lo[:dims], r.Hi[:dims]
+	if cap(r.heads) < 2*dims {
+		r.heads = make([][]float32, 2*dims)
 	}
+	r.Lo = r.heads[:dims:dims]
+	r.Hi = r.heads[dims : 2*dims : 2*dims]
 	if need := 2 * dims * n; cap(r.slab) < need {
 		r.slab = make([]float32, need)
 	} else {
@@ -96,6 +98,10 @@ func (r *Region) Reset(n, dims int) {
 	}
 	r.bytes = int64(4*cap(r.IDs)) + int64(4*cap(r.slab)) + regionOverhead
 }
+
+// Cols returns the column slab: 2·dims columns of Len() floats, column j at
+// [j·Len(), (j+1)·Len()), Lo[d] being column 2d and Hi[d] column 2d+1.
+func (r *Region) Cols() []float32 { return r.slab }
 
 // Len returns the number of members.
 func (r *Region) Len() int { return len(r.IDs) }

@@ -160,7 +160,7 @@ func (e *Engine) readMisses(sc *batchScratch, emit func(id uint32) bool, dst *si
 				r = sc.local
 			}
 			r.Reset(ent.Count, e.dims)
-			if err := store.DecodeRegionColumns(img, ent, e.dims, r.IDs, r.Lo, r.Hi); err != nil {
+			if err := store.DecodeRegionColumns(img, ent, e.dims, r.IDs, r.Cols()); err != nil {
 				return err
 			}
 			if e.cache != nil {

@@ -31,6 +31,13 @@
 //     multi-cluster query pays one seek per run instead of one per cluster.
 //     Each coalesced run charges one Seek and its full byte length
 //     (gaps included) as BytesTransferred, plus one CacheMiss per region.
+//   - Each missed region is checksummed and decoded once, straight into
+//     the column slab of a fresh blockcache.Region
+//     (store.DecodeRegionColumns): geom.ColumnsFromFlat transposes the
+//     device's row-major records into columns, in 8×8 AVX2 tiles where
+//     the CPU has them. With a cache, a miss allocates four times — the
+//     Region, its ids, its Lo/Hi header array and its slab — and nothing
+//     else; without one, misses reuse one scratch Region.
 //   - Each explored region is verified against every query interested in
 //     it by sig.Scan.Explore, the code the core engine runs: the columnar
 //     kernels over a pooled candidate bitmap, most selective dimensions

@@ -404,6 +404,46 @@ func TestZeroAllocWarmPath(t *testing.T) {
 	}
 }
 
+// TestAllocsPerMiss pins the allocation cost of a cache miss: a Region and
+// its three backing arrays (member ids, the one Lo/Hi header array and the
+// column slab; an empty region has no ids or slab to allocate), nothing
+// else. A one-byte cache admits no region, so every cluster the
+// full-domain query explores misses and decodes afresh on every run.
+func TestAllocsPerMiss(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	_, disk := buildCheckpoint(t, 4, 3000)
+	e, err := OpenConfig(disk, Config{CacheBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 0
+	for _, d := range e.dir {
+		want += 2
+		if d.Count > 0 {
+			want += 2
+		}
+	}
+	q := geom.Rect{Min: []float32{0, 0, 0, 0}, Max: []float32{1, 1, 1, 1}}
+	var buf []uint32
+	e.ResetMeter()
+	const runs = 20
+	allocs := testing.AllocsPerRun(runs, func() {
+		if buf, err = e.SearchIDsAppend(buf[:0], q, geom.Intersects); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// AllocsPerRun makes one warm-up call before the measured runs.
+	if m := e.Meter(); m.CacheMisses != (runs+1)*int64(len(e.dir)) || m.CacheHits != 0 {
+		t.Fatalf("want every one of %d clusters to miss on each of %d queries: %+v", len(e.dir), runs+1, m)
+	}
+	if allocs != float64(want) {
+		t.Fatalf("%d misses per query allocate %.1f times, want %d (4 per non-empty region, 2 per empty one)",
+			len(e.dir), allocs, want)
+	}
+}
+
 // TestConcurrentSearchEvictionStress races concurrent searches against a
 // cache whose budget holds only a fraction of the working set, so pins,
 // insertions and CLOCK evictions interleave constantly (run under -race in

@@ -1,5 +1,10 @@
 package geom
 
+import (
+	"encoding/binary"
+	"math"
+)
+
 // The storage engines keep object coordinates in flat []float32 buffers for
 // data locality (the paper stores each cluster's members sequentially to
 // benefit from cache lines and sequential disk transfer). The layout for an
@@ -66,4 +71,45 @@ func FlatMatches(buf []float32, i int, q Rect, rel Relation) (ok bool, dimsCheck
 		return false, 0
 	}
 	return true, dims
+}
+
+// ColumnsFromFlat transposes n rows of the flat layout, stored as
+// little-endian float32 bytes (8·dims bytes per row, the on-device record
+// layout of internal/store), into 2·dims contiguous columns: column j is
+// cols[j·n:(j+1)·n], so Min[d] of row i lands in cols[2d·n+i] and Max[d] in
+// cols[(2d+1)·n+i]. It copies bit patterns and does no float arithmetic:
+// NaN payloads, signalling NaNs, −0, ±Inf and subnormals come out unchanged.
+// It reads nothing past flat[:8·dims·n], writes nothing past
+// cols[:2·dims·n], allocates nothing, and panics when either slice is
+// shorter than that.
+//
+// The AVX2 body (kernel_amd64.s) transposes 8×8 tiles in 8-row bands; the
+// last n mod 8 rows and the last 2·dims mod 8 columns, and every row on
+// CPUs without AVX2, go through the portable body.
+//
+//ac:noalloc
+func ColumnsFromFlat(cols []float32, flat []byte, n, dims int) {
+	if n < 0 || dims < 0 || len(flat) < 8*dims*n || len(cols) < 2*dims*n {
+		panic("geom: ColumnsFromFlat: flat image or column slab shorter than n rows")
+	}
+	columnsFromFlat(cols[:2*dims*n], flat[:8*dims*n], n, dims)
+}
+
+// columnsFromFlatGeneric is the portable body of ColumnsFromFlat over the
+// rows [r0, r1) of the dimensions [d0, d1): dimension-outer, row-inner, one
+// strided read per coordinate.
+//
+//ac:noalloc
+func columnsFromFlatGeneric(cols []float32, flat []byte, n, dims, r0, r1, d0, d1 int) {
+	stride := 8 * dims
+	for d := d0; d < d1; d++ {
+		lo := cols[2*d*n+r0 : 2*d*n+r1]
+		hi := cols[(2*d+1)*n+r0 : (2*d+1)*n+r1]
+		off := r0*stride + 8*d
+		for k := range lo {
+			lo[k] = math.Float32frombits(binary.LittleEndian.Uint32(flat[off:]))
+			hi[k] = math.Float32frombits(binary.LittleEndian.Uint32(flat[off+4:]))
+			off += stride
+		}
+	}
 }

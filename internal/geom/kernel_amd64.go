@@ -26,6 +26,22 @@ func filterGeLe(lo, hi []float32, a, b float32, bits []uint64) int {
 	return filterGeLeGeneric(lo, hi, a, b, bits)
 }
 
+// columnsFromFlat runs ColumnsFromFlat's 8×8 tiles through the AVX2 body
+// when available, then the columns and rows the tiles leave (every one
+// without AVX2) through the portable body. The slices are exactly
+// 2·dims·n floats and 8·dims·n bytes.
+//
+//ac:noalloc
+func columnsFromFlat(cols []float32, flat []byte, n, dims int) {
+	rows, tiled := 0, 0 // the tiles cover rows [0, rows) of dims [0, tiled)
+	if useAVX2 {
+		rows, tiled = n&^7, dims&^3
+		columnsFromFlatAVX2(cols, flat, n, dims)
+	}
+	columnsFromFlatGeneric(cols, flat, n, dims, 0, rows, tiled, dims)
+	columnsFromFlatGeneric(cols, flat, n, dims, rows, n, 0, dims)
+}
+
 // filterLeGeAVX2 and filterGeLeAVX2 are the vector bodies (kernel_amd64.s).
 // They require len(hi) ≥ len(lo) and len(bits) == BitmapWords(len(lo)),
 // which kernelBits establishes, and read no lane past len(lo).
@@ -35,6 +51,14 @@ func filterLeGeAVX2(lo, hi []float32, a, b float32, bits []uint64) int
 
 //go:noescape
 func filterGeLeAVX2(lo, hi []float32, a, b float32, bits []uint64) int
+
+// columnsFromFlatAVX2 is the vector body of the transposition
+// (kernel_amd64.s): it transposes the 8×8 tiles of rows [0, n&^7) and
+// columns [0, 2·(dims&^3)), which the slice lengths columnsFromFlat passes
+// cover, touches nothing else, and returns at once when there are none.
+//
+//go:noescape
+func columnsFromFlatAVX2(cols []float32, flat []byte, n, dims int)
 
 // cpuid executes CPUID for the given leaf and sub-leaf.
 func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)

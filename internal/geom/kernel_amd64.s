@@ -1,10 +1,12 @@
 #include "textflag.h"
 
-// AVX2 bodies of the column-verification kernels; see kernel.go for the
-// contract and kernel_amd64.go for the dispatch. Both shapes share one body,
-// FILTER, instantiated with the compare predicates of the lo and hi sides:
-// VCMPPS $p, mem, Ya, Yd sets Yd = (a p mem), so lo ≤ a is GE_OQ (a ≥ lo)
-// and hi ≥ b is LE_OQ (b ≤ hi). Ordered-quiet predicates make every NaN
+// AVX2 bodies of the two kernel families: the column-verification filters
+// (see kernel.go for their contract) and the flat-to-column transposition
+// (see ColumnsFromFlat in flat.go); kernel_amd64.go dispatches both.
+//
+// Both filter shapes share one body, FILTER, instantiated with the compare
+// predicates of the lo and hi sides: VCMPPS $p, mem, Ya, Yd sets
+// Yd = (a p mem), so lo ≤ a is GE_OQ (a ≥ lo) and hi ≥ b is LE_OQ (b ≤ hi). Ordered-quiet predicates make every NaN
 // comparison false, as with Go's <= and >=.
 //
 // Registers: SI lo lanes, DI hi lanes, DX bits word, CX full words left (then
@@ -132,6 +134,109 @@ TEXT ·filterLeGeAVX2(SB), NOSPLIT, $0-88
 // func filterGeLeAVX2(lo, hi []float32, a, b float32, bits []uint64) int
 TEXT ·filterGeLeAVX2(SB), NOSPLIT, $0-88
 	FILTER(LE_OQ, GE_OQ)
+
+// The transposition walks the rows in bands of 8 and each band in tiles of
+// 8 columns (4 dimensions). A tile is 8 row loads of 32 bytes, the standard
+// 8×8 transpose — VUNPCKLPS/VUNPCKHPS interleave row pairs, VSHUFPS
+// $0x44/$0xEE gathers 4-row groups per 128-bit lane, VPERM2F128 $0x20/$0x31
+// joins the low and the high lanes of two groups — and 8 column stores of
+// 32 bytes. Every instruction moves bits; none is float arithmetic.
+//
+// Registers: SI the band's first row, DI the band's first slot of column 0,
+// R9 the tile's first row, R10 its fifth row and then its fifth column, DX
+// its first column, BX the row stride (8·dims bytes) and R11 three of them,
+// R8 the column stride (4·n bytes) and R13 three of them, AX tiles per band,
+// R12 tiles left in the band, CX bands left.
+
+// func columnsFromFlatAVX2(cols []float32, flat []byte, n, dims int)
+TEXT ·columnsFromFlatAVX2(SB), NOSPLIT, $0-64
+	MOVQ cols_base+0(FP), DI
+	MOVQ flat_base+24(FP), SI
+	MOVQ n+48(FP), CX
+	MOVQ dims+56(FP), BX
+	MOVQ CX, R8
+	SHLQ $2, R8
+	LEAQ (R8)(R8*2), R13
+	MOVQ BX, AX
+	SHRQ $2, AX
+	SHLQ $3, BX
+	LEAQ (BX)(BX*2), R11
+	SHRQ $3, CX
+	TESTQ CX, CX
+	JZ out
+	TESTQ AX, AX
+	JZ out
+
+band:
+	MOVQ SI, R9
+	MOVQ DI, DX
+	MOVQ AX, R12
+
+tile:
+	LEAQ (R9)(BX*4), R10
+	VMOVUPS (R9), Y0
+	VMOVUPS (R9)(BX*1), Y1
+	VMOVUPS (R9)(BX*2), Y2
+	VMOVUPS (R9)(R11*1), Y3
+	VMOVUPS (R10), Y4
+	VMOVUPS (R10)(BX*1), Y5
+	VMOVUPS (R10)(BX*2), Y6
+	VMOVUPS (R10)(R11*1), Y7
+
+	// Yk = row k = [k0 … k7]; per 128-bit lane, unpack pairs rows:
+	// Y8 = [00 10 01 11 | 04 14 05 15], Y9 = [02 12 03 13 | 06 16 07 17].
+	VUNPCKLPS Y1, Y0, Y8
+	VUNPCKHPS Y1, Y0, Y9
+	VUNPCKLPS Y3, Y2, Y10
+	VUNPCKHPS Y3, Y2, Y11
+	VUNPCKLPS Y5, Y4, Y12
+	VUNPCKHPS Y5, Y4, Y13
+	VUNPCKLPS Y7, Y6, Y14
+	VUNPCKHPS Y7, Y6, Y15
+
+	// Y0 = [00 10 20 30 | 04 14 24 34], Y1 = [01 11 21 31 | 05 15 25 35],
+	// …, Y4 = [40 50 60 70 | 44 54 64 74], ….
+	VSHUFPS $0x44, Y10, Y8, Y0
+	VSHUFPS $0xEE, Y10, Y8, Y1
+	VSHUFPS $0x44, Y11, Y9, Y2
+	VSHUFPS $0xEE, Y11, Y9, Y3
+	VSHUFPS $0x44, Y14, Y12, Y4
+	VSHUFPS $0xEE, Y14, Y12, Y5
+	VSHUFPS $0x44, Y15, Y13, Y6
+	VSHUFPS $0xEE, Y15, Y13, Y7
+
+	// Y8+j = column j = [0j 1j … 7j].
+	VPERM2F128 $0x20, Y4, Y0, Y8
+	VPERM2F128 $0x20, Y5, Y1, Y9
+	VPERM2F128 $0x20, Y6, Y2, Y10
+	VPERM2F128 $0x20, Y7, Y3, Y11
+	VPERM2F128 $0x31, Y4, Y0, Y12
+	VPERM2F128 $0x31, Y5, Y1, Y13
+	VPERM2F128 $0x31, Y6, Y2, Y14
+	VPERM2F128 $0x31, Y7, Y3, Y15
+
+	LEAQ (DX)(R8*4), R10
+	VMOVUPS Y8, (DX)
+	VMOVUPS Y9, (DX)(R8*1)
+	VMOVUPS Y10, (DX)(R8*2)
+	VMOVUPS Y11, (DX)(R13*1)
+	VMOVUPS Y12, (R10)
+	VMOVUPS Y13, (R10)(R8*1)
+	VMOVUPS Y14, (R10)(R8*2)
+	VMOVUPS Y15, (R10)(R13*1)
+
+	ADDQ $32, R9
+	LEAQ (DX)(R8*8), DX
+	DECQ R12
+	JNZ tile
+	LEAQ (SI)(BX*8), SI
+	ADDQ $32, DI
+	DECQ CX
+	JNZ band
+
+out:
+	VZEROUPPER
+	RET
 
 // func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24

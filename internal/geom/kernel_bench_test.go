@@ -99,3 +99,30 @@ func BenchmarkSearchKernel(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkColumnsFromFlat isolates the transposition that decodes a disk
+// region: 2 200 rows (a median region of the disk benchmark) swept over
+// {4, 8, 16, 32} dimensions. The kernel variant runs the dispatching
+// ColumnsFromFlat (the AVX2 tiles where the CPU has them), the portable
+// variant the portable body alone. Run with -benchmem: neither allocates.
+func BenchmarkColumnsFromFlat(b *testing.B) {
+	const rows = 2200
+	for _, dims := range []int{4, 8, 16, 32} {
+		flat := randFlat(rand.New(rand.NewSource(5)), rows, dims)
+		cols := make([]float32, 2*dims*rows)
+		b.Run(fmt.Sprintf("dims=%d/kernel", dims), func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(flat)))
+			for i := 0; i < b.N; i++ {
+				ColumnsFromFlat(cols, flat, rows, dims)
+			}
+		})
+		b.Run(fmt.Sprintf("dims=%d/portable", dims), func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(flat)))
+			for i := 0; i < b.N; i++ {
+				columnsFromFlatGeneric(cols, flat, rows, dims, 0, rows, 0, dims)
+			}
+		})
+	}
+}

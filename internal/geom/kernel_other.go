@@ -18,3 +18,10 @@ func filterLeGe(lo, hi []float32, a, b float32, bits []uint64) int {
 func filterGeLe(lo, hi []float32, a, b float32, bits []uint64) int {
 	return filterGeLeGeneric(lo, hi, a, b, bits)
 }
+
+// columnsFromFlat runs the portable transposition body over every row.
+//
+//ac:noalloc
+func columnsFromFlat(cols []float32, flat []byte, n, dims int) {
+	columnsFromFlatGeneric(cols, flat, n, dims, 0, n, 0, dims)
+}

@@ -204,39 +204,55 @@ func TestReadRegionIntoReusesBuffers(t *testing.T) {
 	}
 }
 
+// TestDecodeRegionColumnsMatchesReadRegion checks the column decoder against
+// the row-major ReadRegion at several dimensionalities, on clusters whose
+// member counts leave a partial 8-row band (the transposition kernel's
+// scalar edge), and that it writes nothing past the column slab.
 func TestDecodeRegionColumnsMatchesReadRegion(t *testing.T) {
-	dev, dir := planCheckpoint(t, 4, 2000)
-	for _, e := range dir {
-		img := make([]byte, e.RegionBytes(4))
-		if _, err := dev.ReadAt(img, e.Offset); err != nil {
-			t.Fatal(err)
-		}
-		ids := make([]uint32, e.Count)
-		lo := make([][]float32, 4)
-		hi := make([][]float32, 4)
-		for d := range lo {
-			lo[d] = make([]float32, e.Count)
-			hi[d] = make([]float32, 4*e.Count)[:e.Count]
-		}
-		if err := DecodeRegionColumns(img, e, 4, ids, lo, hi); err != nil {
-			t.Fatal(err)
-		}
-		wantIDs, wantData, err := ReadRegion(dev, e, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range ids {
-			if ids[i] != wantIDs[i] {
-				t.Fatal("ids differ")
+	for _, dims := range []int{1, 3, 4, 16} {
+		dev, dir := planCheckpoint(t, dims, 2003)
+		ragged := 0
+		for _, e := range dir {
+			if e.Count > 8 && e.Count%8 != 0 {
+				ragged++
 			}
-			for d := 0; d < 4; d++ {
-				if lo[d][i] != wantData[i*8+2*d] || hi[d][i] != wantData[i*8+2*d+1] {
-					t.Fatalf("cluster at %d: column transpose mismatch at member %d dim %d", e.Offset, i, d)
+			img := make([]byte, e.RegionBytes(dims))
+			if _, err := dev.ReadAt(img, e.Offset); err != nil {
+				t.Fatal(err)
+			}
+			ids := make([]uint32, e.Count)
+			slab := make([]float32, 2*dims*e.Count+8)
+			cols := slab[:2*dims*e.Count]
+			if err := DecodeRegionColumns(img, e, dims, ids, cols); err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range slab[len(cols):] {
+				if v != 0 {
+					t.Fatalf("dims=%d cluster at %d: decoder wrote past the column slab", dims, e.Offset)
+				}
+			}
+			wantIDs, wantData, err := ReadRegion(dev, e, dims)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range ids {
+				if ids[i] != wantIDs[i] {
+					t.Fatal("ids differ")
+				}
+				for d := 0; d < dims; d++ {
+					lo, hi := cols[2*d*e.Count+i], cols[(2*d+1)*e.Count+i]
+					if lo != wantData[i*2*dims+2*d] || hi != wantData[i*2*dims+2*d+1] {
+						t.Fatalf("dims=%d cluster at %d: column transpose mismatch at member %d dim %d", dims, e.Offset, i, d)
+					}
 				}
 			}
 		}
+		if ragged == 0 {
+			t.Fatalf("dims=%d: no cluster has a partial 8-row band", dims)
+		}
 	}
 	// Corruption must be detected: flip a byte, keep the stale CRC.
+	dev, dir := planCheckpoint(t, 4, 2000)
 	e := dir[0]
 	img := make([]byte, e.RegionBytes(4))
 	if _, err := dev.ReadAt(img, e.Offset); err != nil {
@@ -244,13 +260,12 @@ func TestDecodeRegionColumnsMatchesReadRegion(t *testing.T) {
 	}
 	img[len(img)-1] ^= 0xFF
 	ids := make([]uint32, e.Count)
-	lo := [][]float32{make([]float32, e.Count), make([]float32, e.Count), make([]float32, e.Count), make([]float32, e.Count)}
-	hi := [][]float32{make([]float32, e.Count), make([]float32, e.Count), make([]float32, e.Count), make([]float32, e.Count)}
-	if err := DecodeRegionColumns(img, e, 4, ids, lo, hi); err == nil {
+	cols := make([]float32, 2*4*e.Count)
+	if err := DecodeRegionColumns(img, e, 4, ids, cols); err == nil {
 		t.Fatal("corrupt image must fail the checksum")
 	}
 	// A wrong-size image must be rejected before the checksum.
-	if err := DecodeRegionColumns(img[:len(img)-4], e, 4, ids, lo, hi); err == nil {
+	if err := DecodeRegionColumns(img[:len(img)-4], e, 4, ids, cols); err == nil {
 		t.Fatal("truncated image must be rejected")
 	}
 }

@@ -43,6 +43,7 @@ import (
 	"sync"
 
 	"accluster/internal/core"
+	"accluster/internal/geom"
 	"accluster/internal/sig"
 )
 
@@ -405,13 +406,15 @@ func ReadRegionInto(dev Device, e DirEntry, dims int, ids []uint32, data []float
 
 // DecodeRegionColumns validates a region image (the exact on-device bytes of
 // e's region, e.g. one slice of a coalesced read) and decodes the live
-// members into caller-provided structure-of-arrays columns: ids[k] with
-// lo[d][k], hi[d][k]. ids must have length e.Count and lo/hi must hold dims
-// columns of that length — the layout internal/blockcache.Region.Reset
-// prepares. The transpose from the device's row-major record layout happens
-// here, once per device read, so every verification over the decoded region
-// runs on contiguous columns.
-func DecodeRegionColumns(region []byte, e DirEntry, dims int, ids []uint32, lo, hi [][]float32) error {
+// members into caller-provided structure-of-arrays storage: ids[k] for
+// k < e.Count, and 2·dims columns in cols, column j being
+// cols[j·e.Count:(j+1)·e.Count] with Min[d] in column 2d and Max[d] in
+// column 2d+1 — the slab layout of internal/blockcache.Region. The size and
+// checksum checks run before anything is written and fail with ErrCorrupt.
+// The transpose from the device's row-major records is geom.ColumnsFromFlat
+// (its AVX2 body where the CPU has one), once per device read, so every
+// verification over the decoded region runs on contiguous columns.
+func DecodeRegionColumns(region []byte, e DirEntry, dims int, ids []uint32, cols []float32) error {
 	if len(region) != regionSize(e.Capacity, dims) {
 		return corrupt("region image at %d has %d bytes, want %d", e.Offset, len(region), regionSize(e.Capacity, dims))
 	}
@@ -421,17 +424,7 @@ func DecodeRegionColumns(region []byte, e DirEntry, dims int, ids []uint32, lo, 
 	for k := 0; k < e.Count; k++ {
 		ids[k] = binary.LittleEndian.Uint32(region[k*4:])
 	}
-	coordBase := e.Capacity * 4
-	stride := 2 * dims * 4
-	for d := 0; d < dims; d++ {
-		loCol, hiCol := lo[d][:e.Count], hi[d][:e.Count]
-		base := coordBase + 2*d*4
-		for k := 0; k < e.Count; k++ {
-			off := base + k*stride
-			loCol[k] = math.Float32frombits(binary.LittleEndian.Uint32(region[off:]))
-			hiCol[k] = math.Float32frombits(binary.LittleEndian.Uint32(region[off+4:]))
-		}
-	}
+	geom.ColumnsFromFlat(cols, region[e.Capacity*4:], e.Count, dims)
 	return nil
 }
 

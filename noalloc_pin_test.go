@@ -76,6 +76,8 @@ func TestNoAllocAnnotatedPaths(t *testing.T) {
 	q4 := MustRect([]float32{0.2, 0.2, 0.2, 0.2}, []float32{0.6, 0.6, 0.6, 0.6})
 	order := make([]int, 4)
 	widths := make([]float32, 4)
+	flat := make([]byte, 8*4*kn) // kn rows of a 4-d region image
+	cols := make([]float32, 2*4*kn)
 
 	// sig fixtures: a flat mirror of 16 root signatures.
 	rootSig := sig.Root(4)
@@ -209,6 +211,7 @@ func TestNoAllocAnnotatedPaths(t *testing.T) {
 		{"accluster/internal/geom.FilterDim", func() { geom.FilterDim(Intersects, lo, hi, 0.2, 0.6, bits) }},
 		{"accluster/internal/geom.QueryDimOrder", func() { geom.QueryDimOrder(order, widths, q4, Intersects) }},
 		{"accluster/internal/geom.AppendSurvivors", func() { surv = geom.AppendSurvivors(surv[:0], kids, bits) }},
+		{"accluster/internal/geom.ColumnsFromFlat", func() { geom.ColumnsFromFlat(cols, flat, kn, 4) }},
 		{"accluster/internal/sig.MatchBounds", func() { matched = sig.MatchBounds(sb, 16, 4, q4, Intersects, matched[:0]) }},
 		{"accluster/internal/sig.BoundsImplyDim", func() { sig.BoundsImplyDim(Intersects, sb, 1, 0.2, 0.6) }},
 		{"accluster/internal/sig.BatchQueries.Reset", func() { bq.Reset(qs4, 4) }},
