@@ -1,11 +1,12 @@
 package accluster
 
-// One benchmark per table/figure of the paper's evaluation (see DESIGN.md's
-// per-experiment index). The benches measure per-query wall time on
-// pre-built, pre-converged indexes at a laptop-friendly scale (the paper's
-// full 2,000,000-object sweeps are regenerated by cmd/acbench); modeled
-// times under the paper's cost constants are printed by the harness, here we
-// report objs/query (objects verified) as the scale-free comparison metric.
+// One benchmark per table/figure of the paper's evaluation (see the
+// experiment index on harness.Experiments). The benches measure per-query
+// wall time on pre-built, pre-converged indexes at a laptop-friendly scale
+// (the paper's full 2,000,000-object sweeps are regenerated by
+// cmd/acbench); modeled times under the paper's cost constants are printed
+// by the harness, here we report objs/query (objects verified) as the
+// scale-free comparison metric.
 //
 // E9 (paper Table 2, the cost constants) has no benchmark: the constants are
 // pinned by unit tests in internal/cost.
@@ -319,7 +320,7 @@ func BenchmarkSearchBatch(b *testing.B) {
 				buf = out
 			}
 		})
-		for _, n := range []int{16, 64} {
+		for _, n := range []int{1, 4, 16, 64, 256} {
 			batches := make([][]geom.Rect, 0, len(s.queries)/n)
 			for i := 0; i+n <= len(s.queries); i += n {
 				batches = append(batches, s.queries[i:i+n])

@@ -2,15 +2,17 @@
 // Llirbat, "Clustering Multidimensional Extended Objects to Speed Up
 // Execution of Spatial Queries"): Fig. 7 (selectivity sweep), Fig. 8
 // (dimensionality sweep over skewed data), the point-enclosing experiment,
-// and the ablations indexed in DESIGN.md.
+// and the ablations indexed on harness.Experiments.
 //
 // Usage:
 //
 //	acbench -exp fig7 -n 200000 -queries 200
 //	acbench -exp all -n 50000 -csv results.csv
-//	acbench -benchjson bench.json -cpuprofile cpu.out
-//	acbench -diskjson BENCH_disk.json -disk-cache 67108864
-//	acbench -brokerjson BENCH_broker.json
+//	acbench -exp point -cpuprofile cpu.out
+//
+// Microbenchmarks are Go benchmarks (go test -bench) and the end-to-end
+// record is perfbench; acbench only regenerates the paper's figures and
+// tables.
 //
 // The tables print the modeled per-query execution time under both storage
 // scenarios (paper cost constants: 15 ms disk access, 20 MB/s transfer,
@@ -21,7 +23,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -42,16 +43,10 @@ func main() {
 		seed    = flag.Int64("seed", 1, "workload seed")
 		maxSize = flag.Float64("maxsize", 1, "maximum object interval size per dimension")
 		shards  = flag.Int("shards", 0, "max shard count for the sharded experiment: sweep doubles 1,2,4,...,N (0 = default sweep 1,2,4,8)")
-		par     = flag.Int("parallel", 8, "max client-goroutine count of the -benchjson concurrency sweep (doubles 1,2,4,...,N; <= 0 skips the sweep)")
 		csvPath = flag.String("csv", "", "also write results as CSV to this file")
 		charts  = flag.Bool("chart", false, "also draw ASCII charts (the paper's figure shapes)")
 		verbose = flag.Bool("v", false, "log progress to stderr")
 
-		diskCache  = flag.Int64("disk-cache", 0, "decoded-region cache budget in bytes for the disk benchmark's largest sweep point (<= 0 = default 64 MiB)")
-		batchMax   = flag.Int("batch", 0, "max batch size of the -benchjson batched-selection sweep 1,4,16,64,256 (0 = full sweep, negative = skip the batch section)")
-		benchJSON  = flag.String("benchjson", "", "run the steady-state query micro-benchmark and write JSON results to this file (skips -exp)")
-		diskJSON   = flag.String("diskjson", "", "run the disk-scenario benchmark (seed-scalar vs columnar, cold/warm x cache sizes) and write JSON results to this file (skips -exp)")
-		brokerJSON = flag.String("brokerjson", "", "run the loopback netbroker load benchmark (10k subscriptions, paced event stream) and write JSON results to this file (skips -exp)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		telAddr    = flag.String("telemetry", "", "serve the flight-recorder introspection endpoint (runtime gauges, pprof, ring dump) on this address while the experiments run")
@@ -80,12 +75,6 @@ func main() {
 		ReorgEvery: *reorg,
 		Seed:       *seed,
 		MaxObjSize: float32(*maxSize),
-		Parallel:   *par,
-		DiskCache:  *diskCache,
-		BatchMax:   *batchMax,
-	}
-	if *par <= 0 {
-		o.Parallel = -1 // skip the concurrency sweep
 	}
 	if *shards > 0 {
 		for k := 1; ; k <<= 1 {
@@ -129,7 +118,7 @@ func main() {
 				}
 			}()
 		}
-		return run(o, *exps, *benchJSON, *diskJSON, *brokerJSON, *csvPath, *charts)
+		return run(o, *exps, *csvPath, *charts)
 	}()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "acbench: %v\n", err)
@@ -137,53 +126,7 @@ func main() {
 	}
 }
 
-// writeJSONReport writes a benchmark report to path.
-func writeJSONReport(path string, render func(w io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := render(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func run(o harness.Options, exps, benchJSON, diskJSON, brokerJSON, csvPath string, charts bool) error {
-	// The benchmark modes replace the -exp experiments; both may be asked
-	// for in one invocation.
-	if benchJSON != "" {
-		rep, err := harness.RunQueryBench(o)
-		if err != nil {
-			return fmt.Errorf("benchjson: %w", err)
-		}
-		if err := writeJSONReport(benchJSON, rep.WriteJSON); err != nil {
-			return fmt.Errorf("benchjson: %w", err)
-		}
-	}
-	if diskJSON != "" {
-		rep, err := harness.RunDiskBench(o)
-		if err != nil {
-			return fmt.Errorf("diskjson: %w", err)
-		}
-		if err := writeJSONReport(diskJSON, rep.WriteJSON); err != nil {
-			return fmt.Errorf("diskjson: %w", err)
-		}
-	}
-	if brokerJSON != "" {
-		rep, err := harness.RunBrokerBench(o)
-		if err != nil {
-			return fmt.Errorf("brokerjson: %w", err)
-		}
-		if err := writeJSONReport(brokerJSON, rep.WriteJSON); err != nil {
-			return fmt.Errorf("brokerjson: %w", err)
-		}
-	}
-	if benchJSON != "" || diskJSON != "" || brokerJSON != "" {
-		return nil
-	}
-
+func run(o harness.Options, exps, csvPath string, charts bool) error {
 	ids := strings.Split(exps, ",")
 	if exps == "all" {
 		ids = harness.Experiments()

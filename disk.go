@@ -17,9 +17,9 @@ import (
 // and charge no Seeks and no BytesTransferred (CacheHits/CacheMisses in
 // Stats record the split), while missed regions are fetched with
 // seek-coalescing readahead (WithReadahead) — adjacent and near-adjacent
-// regions merge into single sequential reads. The cache is invalidated by
-// reopening: a Disk opened after a new SaveFile starts a fresh cache
-// generation and never sees stale regions.
+// regions merge into single sequential reads. Each Disk owns its cache, so
+// a Disk opened after a new SaveFile starts with an empty one and never sees
+// stale regions.
 //
 // Disk is safe for concurrent use. It reflects the checkpoint at open time;
 // mutations to the live index become visible by checkpointing again and

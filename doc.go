@@ -180,9 +180,9 @@
 // the device merge into single sequential reads, one Seek each. A missed
 // region is transposed from the device's row-major records into columns by
 // the CPUID-selected kernel (AVX2 8×8 tiles where the CPU has them, the
-// portable loop otherwise). The cache is invalidated by reopening: a Disk
-// opened after a new SaveFile starts a fresh cache generation. Fully cached
-// selections allocate nothing.
+// portable loop otherwise). Each Disk owns its cache, so a Disk opened
+// after a new SaveFile starts with an empty one. Fully cached selections
+// allocate nothing.
 //
 // # Durability and recovery
 //
@@ -232,8 +232,9 @@
 // policy (drop-oldest, drop-newest or disconnect), dead peers are detected
 // by heartbeat, and the client redials with capped jittered backoff and
 // re-registers its subscriptions. cmd/sdid -listen / -connect serve and
-// drive a broker interactively; cmd/acbench -brokerjson runs the loopback
-// load harness behind BENCH_broker.json.
+// drive a broker interactively; BenchmarkBrokerLoopback in
+// internal/netbroker loads a served broker over loopback TCP and reports
+// delivery latency, achieved event rate and shed deliveries.
 //
 // # Enforced invariants
 //

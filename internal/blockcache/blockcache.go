@@ -8,11 +8,10 @@
 // regions converts repeat explorations into pure in-memory column scans:
 // no seek, no transfer, no decode, no allocation.
 //
-// Entries are keyed by (checkpoint generation, cluster position). The
-// generation is drawn from a process-wide counter at engine open time, so
-// engines sharing one cache never mix entries and re-opening a checkpoint
-// (after a new store.Save) implicitly invalidates everything the previous
-// engine cached: stale entries simply stop being requested and age out.
+// Entries are keyed by the cluster's position in the checkpoint directory.
+// A cache belongs to one engine, which serves one checkpoint: re-opening a
+// checkpoint (after a new store.Save) builds a new engine with a new, empty
+// cache, so nothing stale survives.
 //
 // Eviction is CLOCK (second-chance): each hit sets the entry's reference
 // bit, the hand sweeps the ring clearing bits and evicts the first
@@ -24,25 +23,7 @@
 // the requesting query.
 package blockcache
 
-import (
-	"sync"
-	"sync/atomic"
-)
-
-// Key identifies one decoded cluster region.
-type Key struct {
-	// Gen is the checkpoint generation (NextGen at engine open).
-	Gen uint64
-	// Cluster is the cluster's position in the checkpoint directory.
-	Cluster int32
-}
-
-// generation is the process-wide checkpoint generation counter.
-var generation atomic.Uint64
-
-// NextGen returns a fresh checkpoint generation. Every engine opening draws
-// one, so cache keys from different openings never collide.
-func NextGen() uint64 { return generation.Add(1) }
+import "sync"
 
 // Region is one decoded cluster region in the core's structure-of-arrays
 // column layout: IDs[i] pairs with Lo[d][i], Hi[d][i]. The columns live in
@@ -62,7 +43,7 @@ type Region struct {
 	bytes int64
 
 	// Cache bookkeeping, guarded by the owning Cache's mutex.
-	key      Key
+	cluster  int32
 	pins     int32
 	ref      bool
 	resident bool
@@ -137,7 +118,7 @@ type Cache struct {
 	mu        sync.Mutex
 	budget    int64
 	used      int64
-	entries   map[Key]*Region
+	entries   map[int32]*Region // by cluster position
 	ring      []*Region
 	hand      int
 	hits      int64
@@ -149,14 +130,14 @@ type Cache struct {
 // New builds a cache with the given memory budget in bytes (the decoded
 // footprint of resident regions, including a fixed per-entry overhead).
 func New(budgetBytes int64) *Cache {
-	return &Cache{budget: budgetBytes, entries: make(map[Key]*Region)}
+	return &Cache{budget: budgetBytes, entries: make(map[int32]*Region)}
 }
 
-// Get returns the resident region under k pinned, or nil. The caller must
-// Unpin it after verifying.
-func (c *Cache) Get(k Key) (*Region, bool) {
+// Get returns the resident region of the cluster at directory position
+// cluster pinned, or nil. The caller must Unpin it after verifying.
+func (c *Cache) Get(cluster int32) (*Region, bool) {
 	c.mu.Lock()
-	r := c.entries[k]
+	r := c.entries[cluster]
 	if r == nil {
 		c.misses++
 		c.mu.Unlock()
@@ -169,16 +150,17 @@ func (c *Cache) Get(k Key) (*Region, bool) {
 	return r, true
 }
 
-// Put admits the freshly decoded r under k and returns the canonical region
-// for the key, pinned: r itself when admitted, the already-resident region
-// when another query inserted the key first (r is then discarded), or r
-// unmanaged when the cache cannot make room — the caller uses it exactly the
-// same way and the later Unpin is a no-op. The caller must not touch r
-// again after Put except through the returned region.
-func (c *Cache) Put(k Key, r *Region) *Region {
+// Put admits the freshly decoded region r of cluster and returns the
+// canonical region for the cluster, pinned: r itself when admitted, the
+// already-resident region when another query inserted the cluster first (r
+// is then discarded), or r unmanaged when the cache cannot make room — the
+// caller uses it exactly the same way and the later Unpin is a no-op. The
+// caller must not touch r again after Put except through the returned
+// region.
+func (c *Cache) Put(cluster int32, r *Region) *Region {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if exist := c.entries[k]; exist != nil {
+	if exist := c.entries[cluster]; exist != nil {
 		exist.pins++
 		exist.ref = true
 		return exist
@@ -187,11 +169,11 @@ func (c *Cache) Put(k Key, r *Region) *Region {
 		c.rejected++
 		return r
 	}
-	r.key = k
+	r.cluster = cluster
 	r.resident = true
 	r.pins = 1
 	r.ref = true
-	c.entries[k] = r
+	c.entries[cluster] = r
 	c.ring = append(c.ring, r)
 	c.used += r.bytes
 	return r
@@ -231,7 +213,7 @@ func (c *Cache) makeRoom(need int64) bool {
 		last := len(c.ring) - 1
 		c.ring[c.hand] = c.ring[last]
 		c.ring = c.ring[:last]
-		delete(c.entries, e.key)
+		delete(c.entries, e.cluster)
 		c.used -= e.bytes
 		e.resident = false
 		c.evictions++
@@ -273,10 +255,10 @@ func (c *Cache) Stats() Stats {
 	return s
 }
 
-// Contains reports whether k is resident (without pinning or touching the
-// reference bit); intended for tests.
-func (c *Cache) Contains(k Key) bool {
+// Contains reports whether the cluster's region is resident (without
+// pinning or touching the reference bit); intended for tests.
+func (c *Cache) Contains(cluster int32) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.entries[k] != nil
+	return c.entries[cluster] != nil
 }

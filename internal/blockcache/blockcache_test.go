@@ -53,7 +53,7 @@ func TestRegionResetLayout(t *testing.T) {
 
 func TestGetPutHitMiss(t *testing.T) {
 	c := New(1 << 20)
-	k := Key{Gen: 1, Cluster: 7}
+	k := int32(7)
 	if _, ok := c.Get(k); ok {
 		t.Fatal("empty cache hit")
 	}
@@ -76,7 +76,7 @@ func TestGetPutHitMiss(t *testing.T) {
 
 func TestPutRace_KeepsCanonical(t *testing.T) {
 	c := New(1 << 20)
-	k := Key{Gen: 1, Cluster: 1}
+	k := int32(1)
 	first := mkRegion(8, 2, 0.1)
 	second := mkRegion(8, 2, 0.2)
 	a := c.Put(k, first)
@@ -91,26 +91,13 @@ func TestPutRace_KeepsCanonical(t *testing.T) {
 	}
 }
 
-func TestGenerationIsolation(t *testing.T) {
-	c := New(1 << 20)
-	r1 := mkRegion(4, 2, 0.1)
-	c.Unpin(c.Put(Key{Gen: 1, Cluster: 0}, r1))
-	if _, ok := c.Get(Key{Gen: 2, Cluster: 0}); ok {
-		t.Fatal("a new generation must not see the old generation's entries")
-	}
-	g1, g2 := NextGen(), NextGen()
-	if g1 == g2 {
-		t.Fatal("generations must be unique")
-	}
-}
-
 func TestBudgetEvictionClock(t *testing.T) {
 	// Budget sized for ~4 of the 8 regions.
 	one := mkRegion(64, 4, 0).Bytes()
 	c := New(4 * one)
 	for i := 0; i < 8; i++ {
 		r := mkRegion(64, 4, float32(i))
-		c.Unpin(c.Put(Key{Gen: 1, Cluster: int32(i)}, r))
+		c.Unpin(c.Put(int32(i), r))
 	}
 	st := c.Stats()
 	if st.UsedBytes > st.BudgetBytes {
@@ -122,9 +109,9 @@ func TestBudgetEvictionClock(t *testing.T) {
 	// Second chance: a just-referenced entry survives the next eviction —
 	// the sweep grants it another pass, and every other entry it clears on
 	// the way is evictable before the hand can come around again.
-	var kept Key
+	var kept int32
 	for i := 7; i >= 0; i-- {
-		k := Key{Gen: 1, Cluster: int32(i)}
+		k := int32(i)
 		if c.Contains(k) {
 			kept = k
 			break
@@ -136,7 +123,7 @@ func TestBudgetEvictionClock(t *testing.T) {
 			t.Fatalf("referenced entry %v evicted", kept)
 		}
 		c.Unpin(r)
-		c.Unpin(c.Put(Key{Gen: 1, Cluster: int32(i)}, mkRegion(64, 4, float32(i))))
+		c.Unpin(c.Put(int32(i), mkRegion(64, 4, float32(i))))
 		if !c.Contains(kept) {
 			t.Fatalf("entry %v evicted immediately after being referenced", kept)
 		}
@@ -146,11 +133,11 @@ func TestBudgetEvictionClock(t *testing.T) {
 func TestPinnedNeverEvicted(t *testing.T) {
 	one := mkRegion(64, 4, 0).Bytes()
 	c := New(2 * one)
-	pinned := c.Put(Key{Gen: 1, Cluster: 0}, mkRegion(64, 4, 0)) // stays pinned
+	pinned := c.Put(0, mkRegion(64, 4, 0)) // stays pinned
 	for i := 1; i < 8; i++ {
-		c.Unpin(c.Put(Key{Gen: 1, Cluster: int32(i)}, mkRegion(64, 4, float32(i))))
+		c.Unpin(c.Put(int32(i), mkRegion(64, 4, float32(i))))
 	}
-	if !c.Contains(Key{Gen: 1, Cluster: 0}) {
+	if !c.Contains(0) {
 		t.Fatal("pinned entry evicted")
 	}
 	// The pinned columns must still be intact.
@@ -164,7 +151,7 @@ func TestOversizeAndAllPinnedRejected(t *testing.T) {
 	small := mkRegion(4, 2, 0)
 	c := New(small.Bytes() + 1) // holds exactly one small region
 	big := mkRegion(1024, 8, 0)
-	if got := c.Put(Key{Gen: 1, Cluster: 0}, big); got != big {
+	if got := c.Put(0, big); got != big {
 		t.Fatal("oversize Put must hand back the caller's region")
 	}
 	c.Unpin(big) // must be a no-op for a never-admitted region
@@ -173,12 +160,12 @@ func TestOversizeAndAllPinnedRejected(t *testing.T) {
 	}
 	// Admit one small region and keep it pinned: the next insert finds
 	// nothing evictable and must be rejected, not admitted over budget.
-	held := c.Put(Key{Gen: 1, Cluster: 1}, small)
+	held := c.Put(1, small)
 	other := mkRegion(4, 2, 1)
-	if got := c.Put(Key{Gen: 1, Cluster: 2}, other); got != other {
+	if got := c.Put(2, other); got != other {
 		t.Fatal("Put with everything pinned must not evict")
 	}
-	if !c.Contains(Key{Gen: 1, Cluster: 1}) {
+	if !c.Contains(1) {
 		t.Fatal("pinned entry lost")
 	}
 	if st := c.Stats(); st.UsedBytes > st.BudgetBytes {
@@ -195,17 +182,17 @@ func TestMultiEvictionAdmission(t *testing.T) {
 	small := mkRegion(16, 2, 0)
 	c := New(10 * small.Bytes())
 	for i := 0; i < 10; i++ {
-		c.Unpin(c.Put(Key{Gen: 1, Cluster: int32(i)}, mkRegion(16, 2, float32(i))))
+		c.Unpin(c.Put(int32(i), mkRegion(16, 2, float32(i))))
 	}
 	// All ten resident and referenced; a region several times the size
 	// needs several evictions behind a full ref-clearing pass.
 	big := mkRegion(16*5, 2, 99)
-	if got := c.Put(Key{Gen: 1, Cluster: 99}, big); got != big {
+	if got := c.Put(99, big); got != big {
 		t.Fatal("multi-eviction admission refused")
 	}
 	c.Unpin(big)
 	st := c.Stats()
-	if !c.Contains(Key{Gen: 1, Cluster: 99}) || st.Rejected != 0 {
+	if !c.Contains(99) || st.Rejected != 0 {
 		t.Fatalf("big region not admitted: %+v", st)
 	}
 	if st.UsedBytes > st.BudgetBytes {
@@ -227,15 +214,15 @@ func TestConcurrentCacheStress(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w)))
 			for i := 0; i < 2000; i++ {
-				k := Key{Gen: 1, Cluster: int32(rng.Intn(16))}
+				k := int32(rng.Intn(16))
 				r, ok := c.Get(k)
 				if !ok {
-					r = c.Put(k, mkRegion(64, 4, float32(k.Cluster)))
+					r = c.Put(k, mkRegion(64, 4, float32(k)))
 				}
 				// Read through the pin; the fill value must match the
 				// key no matter what eviction does around us.
-				if r.Lo[0][0] != float32(k.Cluster) {
-					t.Errorf("worker %d: region %d holds value %g", w, k.Cluster, r.Lo[0][0])
+				if r.Lo[0][0] != float32(k) {
+					t.Errorf("worker %d: region %d holds value %g", w, k, r.Lo[0][0])
 					c.Unpin(r)
 					return
 				}
@@ -259,7 +246,7 @@ func TestStatsPinnedAndEvictionAccounting(t *testing.T) {
 	c := New(4 * per) // room for exactly four regions
 	regions := make([]*Region, 4)
 	for i := range regions {
-		regions[i] = c.Put(Key{Gen: 1, Cluster: int32(i)}, mkRegion(16, 2, 0))
+		regions[i] = c.Put(int32(i), mkRegion(16, 2, 0))
 	}
 	// All four resident and pinned (Put returns pinned).
 	s := c.Stats()
@@ -277,7 +264,7 @@ func TestStatsPinnedAndEvictionAccounting(t *testing.T) {
 		t.Fatalf("after 2 unpins: %+v", s)
 	}
 	// Admitting a fifth region forces evictions of unpinned entries only.
-	c.Put(Key{Gen: 1, Cluster: 100}, mkRegion(16, 2, 0))
+	c.Put(100, mkRegion(16, 2, 0))
 	s = c.Stats()
 	if s.Evictions == 0 {
 		t.Fatalf("no evictions recorded: %+v", s)
@@ -286,7 +273,7 @@ func TestStatsPinnedAndEvictionAccounting(t *testing.T) {
 		t.Fatalf("entries (%d) + evictions (%d) must account for all 5 puts", s.Entries, s.Evictions)
 	}
 	for i := 2; i < 4; i++ { // the still-pinned regions must have survived
-		if !c.Contains(Key{Gen: 1, Cluster: int32(i)}) {
+		if !c.Contains(int32(i)) {
 			t.Fatalf("pinned region %d was evicted", i)
 		}
 	}

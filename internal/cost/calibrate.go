@@ -35,6 +35,10 @@ func Calibrate(dims int) CalibrationResult {
 	}
 	const objects = 4096
 	buf := make([]float32, geom.FlatLen(objects, dims))
+	lo, hi := make([][]float32, dims), make([][]float32, dims)
+	for d := range lo {
+		lo[d], hi[d] = make([]float32, objects), make([]float32, objects)
+	}
 	// Deterministic pseudo-data: mixed hits and misses so early exit
 	// behaves like production.
 	state := uint32(2463534242)
@@ -52,6 +56,7 @@ func Calibrate(dims int) CalibrationResult {
 			}
 			buf[i*2*dims+2*d] = a
 			buf[i*2*dims+2*d+1] = b
+			lo[d][i], hi[d][i] = a, b
 		}
 	}
 	q := geom.NewRect(dims)
@@ -59,20 +64,23 @@ func Calibrate(dims int) CalibrationResult {
 		q.Min[d], q.Max[d] = 0.25, 0.75
 	}
 
-	// Object verification throughput: scan the flat buffer, count bytes
-	// actually inspected (the model charges full objects; measuring per
-	// inspected byte keeps the rate hardware-true).
-	sink := 0
+	// Object verification throughput, timed on the loop the read phase
+	// runs per explored cluster (sig.Scan.Explore): mark every member
+	// alive, then narrow the candidate bitmap one column kernel at a time
+	// until no candidate survives. Bytes are counted as Explore charges
+	// BytesVerified — 8 per surviving candidate per scanned column — so
+	// the rate is per byte actually inspected (the model charges full
+	// objects).
+	bits := make([]uint64, geom.BitmapWords(objects))
 	var bytes int64
 	start := time.Now()
-	const verifyRounds = 8
+	const verifyRounds = 64
 	for r := 0; r < verifyRounds; r++ {
-		for i := 0; i < objects; i++ {
-			ok, checked := geom.FlatMatches(buf, i, q, geom.Intersects)
-			bytes += int64(checked) * 8
-			if ok {
-				sink++
-			}
+		geom.InitBitmap(bits, objects)
+		alive := objects
+		for d := 0; d < dims && alive > 0; d++ {
+			bytes += int64(alive) * 8
+			alive = geom.FilterIntersects(lo[d], hi[d], q.Min[d], q.Max[d], bits)
 		}
 	}
 	verifyMS := float64(time.Since(start).Nanoseconds()) / 1e6
@@ -80,6 +88,7 @@ func Calibrate(dims int) CalibrationResult {
 
 	// Signature check cost: one early-exiting per-dimension predicate,
 	// approximated by a single-object verification.
+	sink := 0
 	start = time.Now()
 	const sigRounds = 1 << 16
 	for r := 0; r < sigRounds; r++ {

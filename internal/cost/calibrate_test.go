@@ -1,6 +1,13 @@
 package cost
 
-import "testing"
+import (
+	"math"
+	"math/rand"
+	"testing"
+	"time"
+
+	"accluster/internal/geom"
+)
 
 func TestCalibrateProducesUsableParams(t *testing.T) {
 	c := Calibrate(16)
@@ -45,5 +52,62 @@ func TestCalibrateDegenerateDims(t *testing.T) {
 	c := Calibrate(0) // clamped to 1
 	if c.SigCheckMS <= 0 {
 		t.Fatalf("calibration with clamped dims: %+v", c)
+	}
+}
+
+// TestCalibrateTracksColumnKernel checks that the calibrated verification
+// rate prices the kernel the adaptive engines verify with: Calibrate(16)'s
+// VerifyMSPerByte must lie within 3× of the per-byte cost of
+// geom.FilterIntersects timed here, on columns of random intervals, charging
+// 8 B per surviving candidate per scanned column as sig.Scan.Explore does.
+// A rate timed on a row-major per-object test overprices every verified
+// byte several times over where the kernel is vectorized. Timing-based, so
+// it is skipped under -short and -race.
+func TestCalibrateTracksColumnKernel(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("timing comparison: skipped under -short and -race")
+	}
+	const dims, n = 16, 4096
+	rng := rand.New(rand.NewSource(5))
+	lo, hi := make([][]float32, dims), make([][]float32, dims)
+	for d := range lo {
+		lo[d], hi[d] = make([]float32, n), make([]float32, n)
+		for i := range lo[d] {
+			a, b := rng.Float32(), rng.Float32()
+			lo[d][i], hi[d][i] = min(a, b), max(a, b)
+		}
+	}
+	bits := make([]uint64, geom.BitmapWords(n))
+	explore := func() (bytes int64) {
+		geom.InitBitmap(bits, n)
+		alive := n
+		for d := 0; d < dims && alive > 0; d++ {
+			bytes += int64(alive) * 8
+			alive = geom.FilterIntersects(lo[d], hi[d], 0.25, 0.75, bits)
+		}
+		return bytes
+	}
+	// best returns the lowest of five measurements, damping scheduling
+	// noise on both sides of the comparison.
+	best := func(measure func() float64) float64 {
+		m := math.Inf(1)
+		for i := 0; i < 5; i++ {
+			m = math.Min(m, measure())
+		}
+		return m
+	}
+	kernel := best(func() float64 {
+		var bytes int64
+		start := time.Now()
+		for r := 0; r < 256; r++ {
+			bytes += explore()
+		}
+		return float64(time.Since(start).Nanoseconds()) / 1e6 / float64(bytes)
+	})
+	calibrated := best(func() float64 { return Calibrate(dims).VerifyMSPerByte })
+	ratio := calibrated / kernel
+	t.Logf("Calibrate(%d): %.3g ms/B; kernel: %.3g ms/B; ratio %.2f", dims, calibrated, kernel, ratio)
+	if ratio > 3 || ratio < 1.0/3 {
+		t.Fatalf("calibrated verification rate is %.2f× the column kernel's, want within 3×", ratio)
 	}
 }

@@ -1,6 +1,6 @@
 //go:build race
 
-package harness
+package cost
 
 // raceEnabled reports whether the race detector instruments this build; its
 // instrumentation allocates, so allocation-count assertions only hold

@@ -103,7 +103,7 @@ func (e *Engine) read(sc *batchScratch, qs []geom.Rect, rel geom.Relation, emit 
 	keep := true
 	for p, ci := range sc.Match.Clusters {
 		if e.cache != nil {
-			if r, ok := e.cache.Get(blockcache.Key{Gen: e.gen, Cluster: ci}); ok {
+			if r, ok := e.cache.Get(ci); ok {
 				sc.meter.CacheHits++
 				keep = e.verify(sc, r, ci, p, emit, dst)
 				e.cache.Unpin(r)
@@ -165,7 +165,7 @@ func (e *Engine) readMisses(sc *batchScratch, emit func(id uint32) bool, dst *si
 			}
 			if e.cache != nil {
 				sc.meter.CacheMisses++
-				r = e.cache.Put(blockcache.Key{Gen: e.gen, Cluster: ci}, r)
+				r = e.cache.Put(ci, r)
 			}
 			keep := e.verify(sc, r, ci, sc.pairOf(ci), emit, dst)
 			if e.cache != nil {

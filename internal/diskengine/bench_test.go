@@ -51,21 +51,34 @@ func benchRect(rng *rand.Rand, dims int, maxSize float32) geom.Rect {
 	return r
 }
 
+// reportVdisk reports the virtual device's seeks and simulated I/O time per
+// op since its last ResetClock: the access pattern the wall time cannot
+// show, seek coalescing included.
+func reportVdisk(b *testing.B, disk *vdisk.Disk) {
+	st := disk.Stats()
+	b.ReportMetric(float64(st.Seeks)/float64(b.N), "seeks/op")
+	b.ReportMetric(st.ElapsedMS/float64(b.N), "vdisk_ms/op")
+}
+
 // BenchmarkDiskSearch measures the disk query path cold (cache disabled —
 // every op reads, decodes and verifies its regions, with and without
 // seek-coalescing) and warm (cache budgets from eviction-churn small to
-// everything-resident) on a repeated-query workload. CI runs it through
+// everything-resident) on a repeated-query workload, one query per op. The
+// warm-cache64MiB/batch row runs the 32 queries as one SearchIDsBatch per op
+// and reports ns/query next to the looped rows. CI runs it through
 // benchstat; the warm variants report 0 allocs/op at steady state.
 func BenchmarkDiskSearch(b *testing.B) {
 	disk, queries := benchCheckpoint(b, 8, 20000)
 	variants := []struct {
-		name string
-		cfg  Config
+		name  string
+		cfg   Config
+		batch bool
 	}{
-		{"cold-nocache", Config{CacheBytes: -1}},
-		{"cold-nocache-noreadahead", Config{CacheBytes: -1, ReadaheadGap: -1}},
-		{"warm-cache1MiB", Config{CacheBytes: 1 << 20}},
-		{"warm-cache64MiB", Config{}},
+		{"cold-nocache", Config{CacheBytes: -1}, false},
+		{"cold-nocache-noreadahead", Config{CacheBytes: -1, ReadaheadGap: -1}, false},
+		{"warm-cache1MiB", Config{CacheBytes: 1 << 20}, false},
+		{"warm-cache64MiB", Config{}, false},
+		{"warm-cache64MiB/batch", Config{}, true},
 	}
 	for _, v := range variants {
 		b.Run(v.name, func(b *testing.B) {
@@ -74,24 +87,41 @@ func BenchmarkDiskSearch(b *testing.B) {
 				b.Fatal(err)
 			}
 			var buf []uint32
+			var dst geom.IDBatch
 			for _, q := range queries { // converge cache + scratch pool
 				if buf, err = eng.SearchIDsAppend(buf[:0], q, geom.Intersects); err != nil {
 					b.Fatal(err)
 				}
 			}
+			if v.batch {
+				if err := eng.SearchIDsBatch(&dst, queries, geom.Intersects); err != nil {
+					b.Fatal(err)
+				}
+			}
+			eng.ResetMeter()
+			disk.ResetClock()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				out, err := eng.SearchIDsAppend(buf[:0], queries[i%len(queries)], geom.Intersects)
+				if v.batch {
+					err = eng.SearchIDsBatch(&dst, queries, geom.Intersects)
+				} else {
+					buf, err = eng.SearchIDsAppend(buf[:0], queries[i%len(queries)], geom.Intersects)
+				}
 				if err != nil {
 					b.Fatal(err)
 				}
-				buf = out
 			}
 			b.StopTimer()
-			m := eng.Meter()
-			if m.Explorations > 0 {
-				b.ReportMetric(float64(m.CacheHits)/float64(m.Explorations), "hit-ratio")
+			reportVdisk(b, disk)
+			// Hits over region probes: Explorations counts (cluster,
+			// query) pairs, and a batch probes each region once for all
+			// of its queries.
+			if m := eng.Meter(); m.CacheHits+m.CacheMisses > 0 {
+				b.ReportMetric(float64(m.CacheHits)/float64(m.CacheHits+m.CacheMisses), "hit-ratio")
+			}
+			if v.batch {
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(queries)), "ns/query")
 			}
 		})
 	}
@@ -100,13 +130,14 @@ func BenchmarkDiskSearch(b *testing.B) {
 // BenchmarkSeedScalarDiskSearch is the pre-overhaul executor on the same
 // checkpoint and workload — the benchstat before-reference for the columnar
 // engine (virtual signature matcher, allocating per-cluster region reads,
-// scalar verification).
+// scalar verification, one seek per explored cluster).
 func BenchmarkSeedScalarDiskSearch(b *testing.B) {
 	disk, queries := benchCheckpoint(b, 8, 20000)
 	dir, dims, err := store.ReadDirectory(disk)
 	if err != nil {
 		b.Fatal(err)
 	}
+	disk.ResetClock()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -128,4 +159,6 @@ func BenchmarkSeedScalarDiskSearch(b *testing.B) {
 		}
 		_ = n
 	}
+	b.StopTimer()
+	reportVdisk(b, disk)
 }

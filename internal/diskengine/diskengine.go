@@ -9,7 +9,7 @@
 // The engine is a read-only executor over a checkpoint written by
 // store.Save; reorganization happens in the in-memory index (internal/core)
 // and becomes visible on the next checkpoint (reopening the checkpoint
-// starts a fresh cache generation, so nothing stale survives).
+// builds a new engine with a new, empty cache, so nothing stale survives).
 //
 // The query path is the in-memory core engine's read phase over a different
 // column source: every selection is a batch, and a single query is a batch
@@ -20,8 +20,8 @@
 //     sig.MatchBounds for a batch of one) instead of calling the per-entry
 //     virtual matcher — the A term is one linear pass over packed floats.
 //   - Explored regions come from a fixed-budget cache of decoded
-//     structure-of-arrays columns (internal/blockcache), keyed by
-//     (checkpoint generation, cluster) and shared by concurrent searches
+//     structure-of-arrays columns (internal/blockcache), private to the
+//     engine, keyed by cluster position and shared by concurrent searches
 //     through per-entry pinning. A cache hit verifies without touching the
 //     device: it charges no Seeks and no BytesTransferred, only CacheHits
 //     and the CPU-side counters (ObjectsVerified, BytesVerified).
@@ -86,10 +86,6 @@ type Config struct {
 	// coalesced sequential read bridges: 0 selects DefaultReadaheadGap,
 	// negative disables coalescing (one read per missed region).
 	ReadaheadGap int64
-	// Cache, when non-nil, is a shared decoded-region cache used instead
-	// of a private one (CacheBytes is then ignored). Engines sharing a
-	// cache are isolated by checkpoint generation.
-	Cache *blockcache.Cache
 }
 
 // Engine answers spatial selections from a checkpointed cluster database.
@@ -106,7 +102,6 @@ type Engine struct {
 	sigBounds []float32 // flat signature mirror, 4·dims floats per cluster
 	sigSel    []uint8   // its dimension-selector side array (sig.AppendSelectors)
 	cache     *blockcache.Cache
-	gen       uint64
 	maxGap    int64
 	meter     cost.SyncMeter
 	scratch   sync.Pool // *batchScratch
@@ -149,7 +144,6 @@ func OpenConfig(dev store.Device, cfg Config) (*Engine, error) {
 		dims:     dims,
 		objBytes: geom.ObjectBytes(dims),
 		dir:      dir,
-		gen:      blockcache.NextGen(),
 	}
 	e.sigBounds = make([]float32, 0, len(dir)*4*dims)
 	for _, d := range dir {
@@ -162,8 +156,6 @@ func OpenConfig(dev store.Device, cfg Config) (*Engine, error) {
 		}
 	}
 	switch {
-	case cfg.Cache != nil:
-		e.cache = cfg.Cache
 	case cfg.CacheBytes == 0:
 		e.cache = blockcache.New(DefaultCacheBytes)
 	case cfg.CacheBytes > 0:

@@ -202,7 +202,8 @@ func RunConvergence(o Options) (*Experiment, error) {
 	return exp, nil
 }
 
-// Run dispatches an experiment by its DESIGN.md identifier.
+// Run dispatches an experiment by its identifier (see Experiments for the
+// index).
 func Run(id string, o Options) (*Experiment, error) {
 	switch id {
 	case "fig7":
@@ -236,7 +237,40 @@ func Run(id string, o Options) (*Experiment, error) {
 	}
 }
 
-// Experiments lists the available experiment identifiers.
+// Experiments lists the available experiment identifiers. This is the
+// experiment index: each identifier with the paper artifact it regenerates
+// (§7 of Saita & Llirbat, EDBT 2004) and its experiment number E1–E16.
+//
+//	fig7               Fig. 7 A/B and its two data-access tables: uniform
+//	                   data, intersection queries, selectivity sweep, memory
+//	                   and disk scenarios (E1–E4)
+//	fig8               Fig. 8 A/B and its tables: skewed data,
+//	                   dimensionality sweep at 0.05% selectivity (E5–E7)
+//	point              §7.2 point-enclosing queries, the publish/subscribe
+//	                   case (E8)
+//	ablation-grouping  signature grouping versus minimum bounding, the
+//	                   paper's second contribution (E10)
+//	ablation-f         division factor f of the clustering function, §4.2
+//	                   and §6 (E11)
+//	convergence        clustering across reorganization rounds, §7.1:
+//	                   stable within 10 steps (E12)
+//	relations          intersection, containment and enclosure compared
+//	                   (E13)
+//	updates            insertions and deletions interleaved with queries
+//	                   (E14)
+//	baselines          the X-tree of §2's related work next to SS, R* and
+//	                   AC (E15)
+//	disk-exec          the disk scenario executed on a virtual disk instead
+//	                   of modeled from counters (E16)
+//	sharded            shard-count sweep of the sharded engine under
+//	                   concurrent clients (beyond the paper)
+//	latency            per-query latency under synchronous versus budgeted
+//	                   reorganization (beyond the paper)
+//	recovery           checkpoint save, load and salvage times (beyond the
+//	                   paper)
+//
+// E9, the paper's cost constants, has no experiment: internal/cost's unit
+// tests pin them.
 func Experiments() []string {
 	return []string{"fig7", "fig8", "point", "ablation-grouping", "ablation-f", "convergence", "relations", "updates", "baselines", "disk-exec", "sharded", "latency", "recovery"}
 }

@@ -68,7 +68,7 @@ func RunDiskExec(o Options) (*Experiment, error) {
 			// model, so every exploration must really touch the device.
 			// Seek-coalescing readahead stays on — it changes the access
 			// pattern and the counters consistently. The cache-size
-			// story is the disk benchmark's (RunDiskBench).
+			// story is diskengine's BenchmarkDiskSearch.
 			eng, err := diskengine.OpenConfig(disk, diskengine.Config{CacheBytes: -1})
 			if err != nil {
 				return MethodResult{}, 0, err

@@ -8,11 +8,11 @@ import (
 	"accluster/internal/workload"
 )
 
-// Extension experiments beyond the paper's published charts (DESIGN.md E13,
-// E14). The paper's §7 evaluates intersection and point-enclosing queries;
-// its problem statement also covers containment and enclosure selections and
-// demands support for "frequent updates" — these two experiments close that
-// gap.
+// Extension experiments beyond the paper's published charts (E13, E14 in
+// the index on Experiments). The paper's §7 evaluates intersection and
+// point-enclosing queries; its problem statement also covers containment and
+// enclosure selections and demands support for "frequent updates" — these
+// two experiments close that gap.
 
 // RunRelationSweep (E13) compares the three spatial relations at a fixed
 // intersection-equivalent query size, per method. Enclosure queries are the

@@ -1,5 +1,5 @@
 // Package harness regenerates every figure and table of the paper's
-// evaluation (§7) plus the ablations called out in DESIGN.md. Experiments
+// evaluation (§7) plus the ablations indexed on Experiments. Experiments
 // build the competing access methods (Adaptive Clustering, Sequential Scan,
 // R*-tree, and the MBB-grouping ablation) over generated workloads, run
 // warm-up queries so the adaptive clustering converges (the paper reports
@@ -16,7 +16,6 @@ import (
 
 	"accluster/internal/core"
 	"accluster/internal/cost"
-	"accluster/internal/diskengine"
 	"accluster/internal/geom"
 	"accluster/internal/mbbclust"
 	"accluster/internal/rstar"
@@ -100,20 +99,6 @@ type Options struct {
 	// experiment (default 1,2,4,8; values are rounded up to powers of
 	// two).
 	ShardSweep []int
-	// Parallel is the maximum client-goroutine count of the benchjson
-	// concurrency sweep (default 8; the sweep doubles 1,2,4,…,Parallel;
-	// negative skips the sweep).
-	Parallel int
-	// DiskCache is the decoded-region cache budget (bytes) of the disk
-	// benchmark's largest sweep point (default 64 MiB; non-positive
-	// values clamp to the default — the sweep always includes a
-	// cache-disabled point, so disabling the cache outright is not a
-	// flag concern).
-	DiskCache int64
-	// BatchMax caps the benchjson batch-size sweep (default sweep
-	// 1,4,16,64,256; 0 keeps the full sweep, negative skips the batch
-	// section entirely).
-	BatchMax int
 	// Log, when non-nil, receives progress lines.
 	Log io.Writer
 }
@@ -152,16 +137,8 @@ func (o *Options) setDefaults() {
 	if o.MaxObjSize == 0 {
 		o.MaxObjSize = 1
 	}
-	if o.Parallel == 0 {
-		o.Parallel = 8
-	}
-	// Negative Parallel passes through: it disables the benchjson
-	// concurrency sweep entirely.
 	if len(o.ShardSweep) == 0 {
 		o.ShardSweep = []int{1, 2, 4, 8}
-	}
-	if o.DiskCache <= 0 {
-		o.DiskCache = diskengine.DefaultCacheBytes
 	}
 }
 

@@ -37,12 +37,11 @@ func latencyQuery(q geom.Rect, i, phaseLen int) {
 	}
 }
 
-// runChurnStream is the shared reorg-heavy measurement: build a fresh index
+// runChurnStream is the reorg-heavy measurement: build a fresh index
 // under the given reorganization schedule, load the workload's objects
 // (small extents, so the hot boxes stay selective), then time each query of
-// a stream whose hot region shifts every phaseLen queries. Both the latency
-// experiment and the benchjson churn record run exactly this, so their
-// numbers stay comparable. The returned latencies are sorted ascending.
+// a stream whose hot region shifts every phaseLen queries. The returned
+// latencies are sorted ascending.
 func runChurnStream(o Options, reorgEvery, queries int, unbounded bool) (*core.Index, []time.Duration, time.Duration, error) {
 	cfg := core.Config{Dims: o.Dims, Params: cost.Memory(), ReorgEvery: reorgEvery}
 	if unbounded {

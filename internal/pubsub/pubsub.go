@@ -319,44 +319,11 @@ func (b *Broker) Match(ev Event) ([]uint32, error) {
 // subscriptions: synchronously (outside the broker lock) by default, or by
 // bounded per-subscriber queues with Options.QueueDepth > 0 — a full queue
 // drops the event for that subscriber and counts the drop, so one slow
-// consumer can never stall the publisher or its peers.
+// consumer can never stall the publisher or its peers. It is a PublishBatch
+// of one event.
 func (b *Broker) Publish(ev Event) (int, error) {
-	ids, err := b.Match(ev)
-	if err != nil {
-		return 0, err
-	}
-	b.mu.Lock()
-	var direct []*subscriber
-	for _, id := range ids {
-		s := b.subs[id]
-		if s == nil {
-			continue
-		}
-		if s.q == nil {
-			direct = append(direct, s)
-			continue
-		}
-		if s.closed {
-			s.droppedClosed.Add(1)
-			continue
-		}
-		// Non-blocking enqueue under b.mu: the lock orders us against
-		// stopLocked, so a send on a closed queue is impossible.
-		select {
-		case s.q <- ev:
-			if d := int64(len(s.q)); d > b.maxDepth.Load() {
-				b.maxDepth.Store(d)
-			}
-		default:
-			s.droppedFull.Add(1)
-		}
-	}
-	b.mu.Unlock()
-	for _, s := range direct {
-		s.h(s.id, ev)
-		s.delivered.Add(1)
-	}
-	return len(ids), nil
+	counts, errs := b.PublishBatch([]Event{ev})
+	return counts[0], errs[0]
 }
 
 // directDelivery is one synchronous handler invocation owed by a batch:
