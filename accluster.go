@@ -344,18 +344,15 @@ type RStar struct {
 	t *rstar.Tree
 }
 
-// NewRStar builds an R*-tree with 16 KB pages by default.
+// NewRStar builds an R*-tree with 16 KB pages by default (WithPageSize sets
+// them). Minimum fill and the forced-reinsert fraction are the R*-tree
+// paper's 0.4 and 0.3.
 func NewRStar(dims int, opts ...Option) (*RStar, error) {
 	o, err := gatherOptions(opts)
 	if err != nil {
 		return nil, err
 	}
-	t, err := rstar.New(rstar.Config{
-		Dims:         dims,
-		PageSize:     o.pageSize,
-		MinFill:      o.minFill,
-		ReinsertFrac: o.reinsertFrac,
-	})
+	t, err := rstar.New(rstar.Config{Dims: dims, PageSize: o.pageSize})
 	if err != nil {
 		return nil, err
 	}

@@ -71,9 +71,6 @@ func TestConstructorErrors(t *testing.T) {
 	if _, err := NewAdaptive(2, WithDivisionFactor(1)); err == nil {
 		t.Error("bad division factor must fail")
 	}
-	if _, err := NewRStar(2, WithMinFill(0.9)); err == nil {
-		t.Error("bad min fill must fail")
-	}
 }
 
 func TestIndexesAgree(t *testing.T) {
@@ -201,7 +198,7 @@ func TestAdaptiveExtras(t *testing.T) {
 }
 
 func TestRStarExtras(t *testing.T) {
-	rs, _ := NewRStar(2, WithPageSize(512), WithReinsertFrac(0.3), WithMinFill(0.4))
+	rs, _ := NewRStar(2, WithPageSize(512))
 	rng := rand.New(rand.NewSource(8))
 	for id := uint32(0); id < 500; id++ {
 		if err := rs.Insert(id, randomRect(rng, 2, 0.1)); err != nil {

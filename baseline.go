@@ -9,7 +9,7 @@ import (
 )
 
 // accessMethod is the single-threaded surface of a baseline access method:
-// internal/seqscan, internal/rstar and internal/xtree.
+// internal/seqscan and internal/rstar.
 type accessMethod interface {
 	Insert(id uint32, r geom.Rect) error
 	Delete(id uint32) bool
@@ -23,7 +23,7 @@ type accessMethod interface {
 
 // baseline is what the paper's baselines share: one mutex serializing every
 // call into a single-threaded access method, and the Index surface built on
-// the method's Search. SeqScan, RStar and XTree embed it and add only their
+// the method's Search. SeqScan and RStar embed it and add only their
 // constructors and structure inspectors.
 type baseline struct {
 	mu sync.Mutex
@@ -84,8 +84,7 @@ func (b *baseline) Get(id uint32) (Rect, bool) {
 
 // Search calls emit for every object satisfying the relation with q; emit
 // returning false stops the search. The sequential scan visits the whole
-// collection; the trees walk the nodes whose bounds can qualify (an X-tree
-// supernode is read sequentially).
+// collection; the R*-tree walks the nodes whose bounds can qualify.
 //
 //ac:noalloc
 func (b *baseline) Search(q Rect, rel Relation, emit func(id uint32) bool) error {

@@ -56,12 +56,8 @@ func batchEngines(t *testing.T, dims, n int, opts ...Option) map[string][2]Index
 		if err != nil {
 			t.Fatal(err)
 		}
-		xt, err := NewXTree(dims)
-		if err != nil {
-			t.Fatal(err)
-		}
 		t.Cleanup(func() { ac.Close(); sh.Close() })
-		return []Index{ac, sh, sq, rs, xt}
+		return []Index{ac, sh, sq, rs}
 	}
 	batch, loop := mk(), mk()
 	rng := rand.New(rand.NewSource(int64(17 + dims)))
@@ -78,7 +74,7 @@ func batchEngines(t *testing.T, dims, n int, opts ...Option) map[string][2]Index
 			}
 		}
 	}
-	names := []string{"adaptive", "sharded", "seqscan", "rstar", "xtree"}
+	names := []string{"adaptive", "sharded", "seqscan", "rstar"}
 	out := make(map[string][2]Index, len(names))
 	for i, name := range names {
 		out[name] = [2]Index{batch[i], loop[i]}

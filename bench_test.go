@@ -11,6 +11,12 @@ package accluster
 // E9 (paper Table 2, the cost constants) has no benchmark: the constants are
 // pinned by unit tests in internal/cost.
 //
+// Fig7Memory, Fig8Dims and PointEnclosing run four methods: SS (the
+// row-major sequential scan), RS (the R*-tree), scan (the adaptive index
+// with reorganization off: one cluster verified by the same column kernels)
+// and AC. AC's time over scan's measures the clustering alone; its time
+// over SS's also counts the kernels.
+//
 // Benchmark index (paper artifact -> bench):
 //
 //	Fig 7A + Table 1 (memory, selectivity sweep)  -> BenchmarkFig7Memory
@@ -37,7 +43,6 @@ import (
 	"accluster/internal/mbbclust"
 	"accluster/internal/store"
 	"accluster/internal/workload"
-	"accluster/internal/xtree"
 )
 
 const (
@@ -144,9 +149,11 @@ func buildMethod(method string, dims int) func() (benchEngine, error) {
 		return func() (benchEngine, error) {
 			return mbbclust.New(mbbclust.Config{Dims: dims, Params: cost.Memory()})
 		}
-	case "XT":
+	case "scan":
+		// A reorganization period beyond any run keeps every object in
+		// the root cluster.
 		return func() (benchEngine, error) {
-			return xtree.New(xtree.Config{Dims: dims})
+			return core.New(core.Config{Dims: dims, Params: cost.Memory(), ReorgEvery: 1 << 30})
 		}
 	default:
 		panic("unknown method " + method)
@@ -203,9 +210,9 @@ func fig7Spec(b *testing.B, sel float64) (workload.ObjectSpec, workload.QuerySpe
 func BenchmarkFig7Memory(b *testing.B) {
 	for _, sel := range []float64{5e-5, 5e-3, 5e-1} {
 		objSpec, qSpec := fig7Spec(b, sel)
-		for _, method := range []string{"SS", "RS", "AC"} {
+		for _, method := range []string{"SS", "RS", "scan", "AC"} {
 			warm := 0
-			if method == "AC" {
+			if method == "AC" || method == "scan" {
 				warm = 600
 			}
 			key := fmt.Sprintf("fig7mem/%s/%.0e", method, sel)
@@ -214,20 +221,6 @@ func BenchmarkFig7Memory(b *testing.B) {
 				runQueries(b, s, geom.Intersects)
 			})
 		}
-	}
-}
-
-// BenchmarkBaselinesXTree measures the X-tree (E15) on the Fig. 7 workload
-// next to the other methods' Fig7Memory results — with extended
-// high-dimensional objects it degenerates toward supernode scans.
-func BenchmarkBaselinesXTree(b *testing.B) {
-	for _, sel := range []float64{5e-5, 5e-3} {
-		objSpec, qSpec := fig7Spec(b, sel)
-		key := fmt.Sprintf("baselines/XT/%.0e", sel)
-		s := getSetup(b, key, buildMethod("XT", benchDims), objSpec, qSpec, geom.Intersects, 0)
-		b.Run(fmt.Sprintf("sel=%.0e/XT", sel), func(b *testing.B) {
-			runQueries(b, s, geom.Intersects)
-		})
 	}
 }
 
@@ -256,9 +249,9 @@ func BenchmarkFig8Dims(b *testing.B) {
 			b.Fatal(err)
 		}
 		qSpec := workload.QuerySpec{Dims: dims, Size: size, Seed: 4}
-		for _, method := range []string{"SS", "RS", "AC"} {
+		for _, method := range []string{"SS", "RS", "scan", "AC"} {
 			warm := 0
-			if method == "AC" {
+			if method == "AC" || method == "scan" {
 				warm = 600
 			}
 			key := fmt.Sprintf("fig8/%s/%d", method, dims)
@@ -276,9 +269,9 @@ func BenchmarkFig8Dims(b *testing.B) {
 func BenchmarkPointEnclosing(b *testing.B) {
 	objSpec := workload.ObjectSpec{Dims: benchDims, MaxSize: 1, Seed: 5}
 	qSpec := workload.QuerySpec{Dims: benchDims, Size: 0, Seed: 6}
-	for _, method := range []string{"SS", "RS", "AC"} {
+	for _, method := range []string{"SS", "RS", "scan", "AC"} {
 		warm := 0
-		if method == "AC" {
+		if method == "AC" || method == "scan" {
 			warm = 600
 		}
 		key := "point/" + method

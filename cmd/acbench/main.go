@@ -17,7 +17,10 @@
 // The tables print the modeled per-query execution time under both storage
 // scenarios (paper cost constants: 15 ms disk access, 20 MB/s transfer,
 // 300 MB/s verification) plus measured wall time, partition counts and the
-// explored/verified percentages of the paper's data-access tables.
+// explored/verified percentages of the paper's data-access tables. fig7,
+// fig8 and point also run the one-cluster scan (the adaptive index with
+// reorganization off) and note AC-mem's measured time over the scan's at
+// every point.
 package main
 
 import (

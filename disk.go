@@ -26,19 +26,20 @@ import (
 // reopening.
 type Disk struct {
 	eng *diskengine.Engine
-	dev *store.FileDevice
+	dev store.File
 	engineTelemetry
 }
 
 // OpenDisk opens a database file written by SaveFile for direct
-// disk-scenario querying. WithDiskCache and WithReadahead tune the query
-// path; the other options are ignored.
+// disk-scenario querying. The file is opened read-only and a missing path is
+// an error. WithDiskCache and WithReadahead tune the query path; the other
+// options are ignored.
 func OpenDisk(path string, opts ...Option) (*Disk, error) {
 	o, err := gatherOptions(opts)
 	if err != nil {
 		return nil, err
 	}
-	dev, err := store.OpenFileDevice(path)
+	dev, err := store.OS.Open(path)
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,10 @@
 package accluster
 
 import (
+	"errors"
+	"io/fs"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"sort"
 	"testing"
@@ -138,5 +141,22 @@ func TestOpenDiskRejectsInvalidOptions(t *testing.T) {
 	}
 	if _, err := OpenDisk(filepath.Join(t.TempDir(), "absent.acdb")); err == nil {
 		t.Error("opening an absent checkpoint must fail")
+	}
+}
+
+// TestOpenDiskMissingPath pins the read-only open: a missing path is a
+// not-exist error, not a corrupt checkpoint, and no file is created as a
+// side effect.
+func TestOpenDiskMissingPath(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "absent.acdb")
+	_, err := OpenDisk(path)
+	if !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("OpenDisk on a missing path: %v, want a not-exist error", err)
+	}
+	if errors.Is(err, ErrCorrupt) {
+		t.Fatalf("a missing path reported as corrupt: %v", err)
+	}
+	if _, err := os.Stat(path); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatal("a failed open created the file")
 	}
 }

@@ -96,7 +96,7 @@
 // every Search out to all shards on a bounded worker pool. It returns
 // exactly the same result sets as NewAdaptive over the same data.
 //
-// NewSeqScan, NewRStar and NewXTree serialize on a single mutex (their
+// NewSeqScan and NewRStar serialize on a single mutex (their
 // searches mutate traversal state), capping each at one core. They share
 // one implementation of Index, with every query method built on the access
 // method's Search.

@@ -1,6 +1,6 @@
 // Compare: the paper's evaluation in miniature, through the public API —
-// the same workload loaded into Sequential Scan, the R*-tree, the X-tree and
-// the Adaptive Clustering index, with per-method data-access statistics and
+// the same workload loaded into Sequential Scan, the R*-tree and the
+// Adaptive Clustering index, with per-method data-access statistics and
 // modeled execution times under both storage scenarios.
 package main
 
@@ -44,10 +44,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	xt, err := accluster.NewXTree(dims)
-	if err != nil {
-		log.Fatal(err)
-	}
 	ac, err := accluster.NewAdaptive(dims)
 	if err != nil {
 		log.Fatal(err)
@@ -61,10 +57,6 @@ func main() {
 			name string
 			ix   accluster.Index
 		}{"R*-tree", rs},
-		struct {
-			name string
-			ix   accluster.Index
-		}{"X-tree", xt},
 		struct {
 			name string
 			ix   accluster.Index
@@ -122,7 +114,6 @@ func main() {
 	}
 	fmt.Printf("\nadaptive index: %d clusters after %d reorganizations (%d splits, %d merges)\n",
 		ac.Clusters(), ac.ReorgRounds(), ac.Splits(), ac.Merges())
-	fmt.Println("note: the X-tree typically degenerates to a single supernode on this workload (§2)")
 	fmt.Println("note: this adaptive index is tuned for the memory scenario; a disk deployment")
 	fmt.Println("      (WithScenario(DiskScenario())) forms ~10-20x fewer clusters to avoid seeks")
 }

@@ -15,7 +15,7 @@
 //   - a parameter of type cost.Meter / *cost.Meter (a record-twin helper
 //     filling the caller's delta), or
 //   - a field of a type annotated //ac:serialmeter — the single-mutex
-//     baseline engines (seqscan, rstar, xtree, mbbclust), whose every
+//     baseline engines (seqscan, rstar, mbbclust), whose every
 //     operation holds the exclusive lock, so a shared plain Meter is safe
 //     by construction. The concurrent engines must not carry this marker.
 //

@@ -15,7 +15,7 @@ type searchScratch struct {
 }
 
 // serialEngine is a single-mutex baseline whose every operation holds the
-// exclusive lock (mirrors seqscan, rstar, xtree and mbbclust).
+// exclusive lock (mirrors seqscan, rstar and mbbclust).
 //
 //ac:serialmeter
 type serialEngine struct {

@@ -26,7 +26,7 @@ var seriesGlyphs = map[string]byte{
 	MethodACMem:  'A',
 	MethodACDisk: 'A',
 	MethodMBB:    'M',
-	MethodXT:     'X',
+	MethodScan:   'C',
 }
 
 // chartValue extracts the plotted value for a method at a point.

@@ -7,6 +7,15 @@ import (
 	"accluster/internal/workload"
 )
 
+// scanNote states AC-mem's measured wall time at one point as a multiple of
+// the one-cluster scan's, which verifies everything with the same column
+// kernels: the ratio measures the clustering alone.
+func scanNote(xLabel string, p Point) string {
+	ac, scan := p.Results[MethodACMem], p.Results[MethodScan]
+	return fmt.Sprintf("%s %s: AC-mem ÷ scan %.2f on measured wall time (%.0f µs vs %.0f µs per query)",
+		xLabel, p.Label, ac.MeasuredUS/scan.MeasuredUS, ac.MeasuredUS, scan.MeasuredUS)
+}
+
 // RunFig7 reproduces Fig. 7 and its two data-access tables (E1–E4): uniform
 // workload, intersection queries, query selectivity swept from 5e-7 to 5e-1,
 // both storage scenarios. The paper runs 2,000,000 objects in 16 dimensions;
@@ -17,20 +26,21 @@ func RunFig7(o Options) (*Experiment, error) {
 		ID:      "fig7",
 		Title:   "query performance when varying query selectivity (uniform workload)",
 		XLabel:  "selectivity",
-		Methods: []string{MethodSS, MethodRS, MethodACMem, MethodACDisk},
+		Methods: []string{MethodSS, MethodRS, MethodScan, MethodACMem, MethodACDisk},
 	}
 	objSpec := workload.ObjectSpec{Dims: o.Dims, MaxSize: o.MaxObjSize, Seed: o.Seed}
 
-	// SS and RS do not adapt to the query distribution: build them once.
+	// SS, RS and the scan do not adapt to the query distribution: build
+	// them once.
 	static := map[string]Engine{}
-	for _, m := range []string{MethodSS, MethodRS} {
+	for _, m := range []string{MethodSS, MethodRS, MethodScan} {
 		e, err := newEngine(m, o.Dims, o.ReorgEvery)
 		if err != nil {
 			return nil, err
 		}
 		static[m] = e
 	}
-	o.logf("fig7: loading %d objects x %d dims into SS and RS", o.Objects, o.Dims)
+	o.logf("fig7: loading %d objects x %d dims into SS, RS and scan", o.Objects, o.Dims)
 	if err := load(static, objSpec, o.Objects); err != nil {
 		return nil, err
 	}
@@ -79,6 +89,7 @@ func RunFig7(o Options) (*Experiment, error) {
 			point.Results[m] = r
 			o.logf("fig7: %s at %.0e: %d clusters, %.1f%% explored", m, sel, r.Partitions, r.ExploredPct)
 		}
+		exp.Notes = append(exp.Notes, scanNote(exp.XLabel, point))
 		exp.Points = append(exp.Points, point)
 	}
 	return exp, nil
@@ -94,7 +105,7 @@ func RunFig8(o Options) (*Experiment, error) {
 		ID:      "fig8",
 		Title:   "query performance when varying space dimensionality (skewed data)",
 		XLabel:  "dims",
-		Methods: []string{MethodSS, MethodRS, MethodACMem, MethodACDisk},
+		Methods: []string{MethodSS, MethodRS, MethodScan, MethodACMem, MethodACDisk},
 	}
 	for pi, dims := range o.DimsSweep {
 		objSpec := workload.ObjectSpec{Dims: dims, MaxSize: o.MaxObjSize, Skewed: true, Seed: o.Seed + int64(pi)}
@@ -132,6 +143,7 @@ func RunFig8(o Options) (*Experiment, error) {
 			}
 			point.Results[m] = r
 		}
+		exp.Notes = append(exp.Notes, scanNote(exp.XLabel, point))
 		exp.Points = append(exp.Points, point)
 	}
 	return exp, nil
@@ -146,7 +158,7 @@ func RunPointEnclosing(o Options) (*Experiment, error) {
 		ID:      "point",
 		Title:   "point-enclosing queries (publish/subscribe events)",
 		XLabel:  "dims",
-		Methods: []string{MethodSS, MethodRS, MethodACMem, MethodACDisk},
+		Methods: []string{MethodSS, MethodRS, MethodScan, MethodACMem, MethodACDisk},
 	}
 	for pi, dims := range []int{o.Dims} {
 		// Skewed data, as in the paper: "For point-enclosing queries on
@@ -193,6 +205,7 @@ func RunPointEnclosing(o Options) (*Experiment, error) {
 					dims, ss.ModeledDiskMS/ac.ModeledDiskMS))
 			}
 		}
+		exp.Notes = append(exp.Notes, scanNote(exp.XLabel, point))
 		exp.Points = append(exp.Points, point)
 	}
 	return exp, nil

@@ -70,77 +70,6 @@ func RunRelationSweep(o Options) (*Experiment, error) {
 	return exp, nil
 }
 
-// RunBaselines (E15) adds the X-tree — the supernode approach the paper's
-// related work discusses (§2) — to the selectivity sweep next to SS, R* and
-// AC. In high dimensions with extended objects, low-overlap splits become
-// impossible and the X-tree degenerates toward few huge supernodes, i.e.
-// sequential scan with tree overhead.
-func RunBaselines(o Options) (*Experiment, error) {
-	o.setDefaults()
-	exp := &Experiment{
-		ID:      "baselines",
-		Title:   "all access methods incl. X-tree (uniform workload)",
-		XLabel:  "selectivity",
-		Methods: []string{MethodSS, MethodRS, MethodXT, MethodACMem},
-	}
-	objSpec := workload.ObjectSpec{Dims: o.Dims, MaxSize: o.MaxObjSize, Seed: o.Seed}
-	static := map[string]Engine{}
-	for _, m := range []string{MethodSS, MethodRS, MethodXT} {
-		e, err := newEngine(m, o.Dims, o.ReorgEvery)
-		if err != nil {
-			return nil, err
-		}
-		static[m] = e
-	}
-	o.logf("baselines: loading %d objects x %d dims into SS, RS, XT", o.Objects, o.Dims)
-	if err := load(static, objSpec, o.Objects); err != nil {
-		return nil, err
-	}
-	for pi, sel := range o.Selectivities {
-		size, _, err := workload.CalibrateQuerySize(objSpec, geom.Intersects, sel, o.Seed+800)
-		if err != nil {
-			return nil, err
-		}
-		warmQs, err := genQueries(workload.QuerySpec{Dims: o.Dims, Size: size, Seed: o.Seed + int64(pi)*23}, o.Warmup)
-		if err != nil {
-			return nil, err
-		}
-		measQs, err := genQueries(workload.QuerySpec{Dims: o.Dims, Size: size, Seed: o.Seed + int64(pi)*23 + 1}, o.Queries)
-		if err != nil {
-			return nil, err
-		}
-		point := Point{Label: fmt.Sprintf("%.0e", sel), X: sel, Results: map[string]MethodResult{}}
-		for name, e := range static {
-			r, err := measure(e, measQs, geom.Intersects)
-			if err != nil {
-				return nil, err
-			}
-			point.Results[name] = r
-		}
-		ac, err := newEngine(MethodACMem, o.Dims, o.ReorgEvery)
-		if err != nil {
-			return nil, err
-		}
-		if err := load(map[string]Engine{MethodACMem: ac}, objSpec, o.Objects); err != nil {
-			return nil, err
-		}
-		if err := warmup(ac, warmQs, geom.Intersects); err != nil {
-			return nil, err
-		}
-		r, err := measure(ac, measQs, geom.Intersects)
-		if err != nil {
-			return nil, err
-		}
-		point.Results[MethodACMem] = r
-		exp.Points = append(exp.Points, point)
-	}
-	if xt, ok := static[MethodXT].(xtreeEngine); ok {
-		exp.Notes = append(exp.Notes, fmt.Sprintf(
-			"X-tree built %d nodes of which %d supernodes", xt.Nodes(), xt.Supernodes()))
-	}
-	return exp, nil
-}
-
 // RunUpdates (E14) interleaves object insertions and deletions with the
 // query stream (10% churn between measurement rounds) to verify the
 // clustering absorbs frequent updates: answers stay exact (tested

@@ -1,12 +1,13 @@
 // Package harness regenerates every figure and table of the paper's
 // evaluation (§7) plus the ablations indexed on Experiments. Experiments
 // build the competing access methods (Adaptive Clustering, Sequential Scan,
-// R*-tree, and the MBB-grouping ablation) over generated workloads, run
-// warm-up queries so the adaptive clustering converges (the paper reports
-// convergence within 10 reorganization steps), then measure: wall-clock time
-// per query, modeled time under the in-memory and disk cost scenarios, the
-// number of partitions (clusters/nodes), and the explored/verified fractions
-// reported in the paper's data-access tables.
+// R*-tree, the one-cluster columnar scan, and the MBB-grouping ablation)
+// over generated workloads, run warm-up queries so the adaptive clustering
+// converges (the paper reports convergence within 10 reorganization steps),
+// then measure: wall-clock time per query, modeled time under the in-memory
+// and disk cost scenarios, the number of partitions (clusters/nodes), and
+// the explored/verified fractions reported in the paper's data-access
+// tables.
 package harness
 
 import (
@@ -21,7 +22,6 @@ import (
 	"accluster/internal/rstar"
 	"accluster/internal/seqscan"
 	"accluster/internal/workload"
-	"accluster/internal/xtree"
 )
 
 // Engine abstracts the access methods under test.
@@ -40,9 +40,9 @@ type coreEngine struct{ *core.Index }
 
 func (e coreEngine) Partitions() int { return e.Clusters() }
 
-type scanEngine struct{ *seqscan.Store }
+type seqscanEngine struct{ *seqscan.Store }
 
-func (e scanEngine) Partitions() int { return 1 }
+func (e seqscanEngine) Partitions() int { return 1 }
 
 type rstarEngine struct{ *rstar.Tree }
 
@@ -52,10 +52,6 @@ type mbbEngine struct{ *mbbclust.Index }
 
 func (e mbbEngine) Partitions() int { return e.Clusters() }
 
-type xtreeEngine struct{ *xtree.Tree }
-
-func (e xtreeEngine) Partitions() int { return e.Nodes() }
-
 // Method names used across experiments.
 const (
 	MethodSS     = "SS"      // Sequential Scan
@@ -63,7 +59,7 @@ const (
 	MethodACMem  = "AC-mem"  // Adaptive Clustering tuned for the memory scenario
 	MethodACDisk = "AC-disk" // Adaptive Clustering tuned for the disk scenario
 	MethodMBB    = "MBB"     // minimum-bounding grouping ablation
-	MethodXT     = "XT"      // X-tree (supernodes, §2 related work)
+	MethodScan   = "scan"    // one-cluster columnar scan: AC with reorganization off
 )
 
 // Options control experiment scale. The zero value picks defaults suitable
@@ -156,7 +152,7 @@ func newEngine(method string, dims, reorgEvery int) (Engine, error) {
 		if err != nil {
 			return nil, err
 		}
-		return scanEngine{s}, nil
+		return seqscanEngine{s}, nil
 	case MethodRS:
 		t, err := rstar.New(rstar.Config{Dims: dims})
 		if err != nil {
@@ -175,18 +171,20 @@ func newEngine(method string, dims, reorgEvery int) (Engine, error) {
 			return nil, err
 		}
 		return coreEngine{ix}, nil
+	case MethodScan:
+		// A reorganization period beyond any run keeps every object in
+		// the root cluster.
+		ix, err := core.New(core.Config{Dims: dims, Params: cost.Memory(), ReorgEvery: 1 << 30})
+		if err != nil {
+			return nil, err
+		}
+		return coreEngine{ix}, nil
 	case MethodMBB:
 		ix, err := mbbclust.New(mbbclust.Config{Dims: dims, Params: cost.Memory(), ReorgEvery: reorgEvery})
 		if err != nil {
 			return nil, err
 		}
 		return mbbEngine{ix}, nil
-	case MethodXT:
-		tr, err := xtree.New(xtree.Config{Dims: dims})
-		if err != nil {
-			return nil, err
-		}
-		return xtreeEngine{tr}, nil
 	default:
 		return nil, fmt.Errorf("harness: unknown method %q", method)
 	}

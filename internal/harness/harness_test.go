@@ -77,9 +77,38 @@ func TestRunFig7Shape(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	// header + 2 points × 4 methods
-	if len(lines) != 1+2*4 {
-		t.Errorf("CSV lines = %d, want 9", len(lines))
+	// header + 2 points × 5 methods
+	if len(lines) != 1+2*5 {
+		t.Errorf("CSV lines = %d, want 11", len(lines))
+	}
+	checkScan(t, exp)
+}
+
+// checkScan pins the one-cluster scan at every point of exp: it must not
+// have reorganized, must verify every object, must count SS's answers on
+// the same data and queries, and must get its AC-mem ÷ scan note.
+func checkScan(t *testing.T, exp *Experiment) {
+	t.Helper()
+	for i, p := range exp.Points {
+		scan, ok := p.Results[MethodScan]
+		if !ok {
+			t.Fatalf("point %d: no scan result", i)
+		}
+		if scan.Partitions != 1 || scan.VerifiedPct != 100 {
+			t.Errorf("point %d: scan must stay one cluster and verify everything: %+v", i, scan)
+		}
+		if ss := p.Results[MethodSS]; scan.AvgResults != ss.AvgResults {
+			t.Errorf("point %d: scan averages %g results, SS %g", i, scan.AvgResults, ss.AvgResults)
+		}
+	}
+	notes := 0
+	for _, n := range exp.Notes {
+		if strings.Contains(n, "AC-mem ÷ scan") {
+			notes++
+		}
+	}
+	if notes != len(exp.Points) {
+		t.Errorf("%d AC-mem ÷ scan notes for %d points: %q", notes, len(exp.Points), exp.Notes)
 	}
 }
 
@@ -104,6 +133,7 @@ func TestRunFig8Shape(t *testing.T) {
 			t.Errorf("dims point %d: AC %.4g > SS %.4g", i, ac.ModeledMemMS, ss.ModeledMemMS)
 		}
 	}
+	checkScan(t, exp)
 }
 
 func TestRunPointEnclosing(t *testing.T) {
@@ -126,6 +156,7 @@ func TestRunPointEnclosing(t *testing.T) {
 	if ac.VerifiedPct >= ss.VerifiedPct {
 		t.Errorf("AC verified %.1f%%, SS %.1f%%", ac.VerifiedPct, ss.VerifiedPct)
 	}
+	checkScan(t, exp)
 }
 
 func TestRunAblationGrouping(t *testing.T) {
@@ -274,38 +305,11 @@ func TestRunDiskExec(t *testing.T) {
 	}
 }
 
-func TestRunBaselines(t *testing.T) {
-	o := tinyOptions()
-	o.Objects = 2000
-	o.Warmup = 200
-	o.Selectivities = []float64{5e-3}
-	exp, err := RunBaselines(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(exp.Points) != 1 {
-		t.Fatalf("points: %d", len(exp.Points))
-	}
-	p := exp.Points[0]
-	for _, m := range []string{MethodSS, MethodRS, MethodXT, MethodACMem} {
-		if _, ok := p.Results[m]; !ok {
-			t.Fatalf("missing method %s", m)
-		}
-	}
-	xt := p.Results[MethodXT]
-	if xt.Partitions < 1 || xt.ModeledMemMS <= 0 {
-		t.Fatalf("X-tree result: %+v", xt)
-	}
-	if len(exp.Notes) == 0 {
-		t.Error("expected a supernode note")
-	}
-}
-
 func TestRunDispatchAndErrors(t *testing.T) {
 	if _, err := Run("nope", tinyOptions()); err == nil {
 		t.Error("unknown experiment must fail")
 	}
-	if len(Experiments()) != 13 {
+	if len(Experiments()) != 12 {
 		t.Errorf("Experiments() = %v", Experiments())
 	}
 	o := tinyOptions()

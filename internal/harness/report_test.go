@@ -33,7 +33,7 @@ func TestDisplayName(t *testing.T) {
 	if displayName(MethodACMem) != "AC" || displayName(MethodACDisk) != "AC" {
 		t.Error("adaptive variants display as AC")
 	}
-	if displayName(MethodSS) != "SS" || displayName(MethodXT) != "XT" {
+	if displayName(MethodSS) != "SS" || displayName(MethodScan) != "scan" {
 		t.Error("other methods display verbatim")
 	}
 }

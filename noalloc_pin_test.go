@@ -132,7 +132,7 @@ func TestNoAllocAnnotatedPaths(t *testing.T) {
 	adst := make([]uint32, 0, 4096)
 
 	// Baseline fixture: the R*-tree over the same kind of objects, queried
-	// through the methods the three baselines share.
+	// through the methods the two baselines share.
 	rs, err := NewRStar(4)
 	if err != nil {
 		t.Fatal(err)

@@ -34,9 +34,6 @@ type options struct {
 	reorgObjects    int
 	backgroundReorg bool
 	pageSize        int
-	minFill         float64
-	reinsertFrac    float64
-	maxOverlap      float64
 	shards          int
 	fanout          int
 	salvage         bool
@@ -158,18 +155,6 @@ func WithPageSize(bytes int) Option {
 	return func(o *options) { o.pageSize = bytes }
 }
 
-// WithMinFill sets the R*-tree minimum node utilization as a fraction of the
-// fan-out (default 0.4).
-func WithMinFill(frac float64) Option {
-	return func(o *options) { o.minFill = frac }
-}
-
-// WithReinsertFrac sets the fraction of entries force-reinserted on the
-// first overflow of a level (default 0.3).
-func WithReinsertFrac(frac float64) Option {
-	return func(o *options) { o.reinsertFrac = frac }
-}
-
 // WithShards sets the sharded index's partition count, rounded up to a
 // power of two (default: the next power of two ≥ GOMAXPROCS). The shard
 // count is fixed for the life of the index and recorded by SaveDir — a
@@ -289,11 +274,4 @@ func WithTelemetryInterval(d time.Duration) Option {
 		}
 		o.telemetryInterval = d
 	}
-}
-
-// WithMaxOverlap sets the X-tree's split-overlap threshold (default 0.2):
-// topological splits whose groups overlap more than this fraction are
-// rejected in favour of an overlap-free split or a supernode extension.
-func WithMaxOverlap(frac float64) Option {
-	return func(o *options) { o.maxOverlap = frac }
 }

@@ -14,9 +14,6 @@ func TestOptionsApplied(t *testing.T) {
 		WithReorgBudget(32, 2048),
 		WithBackgroundReorg(),
 		WithPageSize(8192),
-		WithMinFill(0.3),
-		WithReinsertFrac(0.25),
-		WithMaxOverlap(0.15),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -30,7 +27,7 @@ func TestOptionsApplied(t *testing.T) {
 	if o.reorgClusters != 32 || o.reorgObjects != 2048 || !o.backgroundReorg {
 		t.Errorf("reorg options: %+v", o)
 	}
-	if o.pageSize != 8192 || o.minFill != 0.3 || o.reinsertFrac != 0.25 || o.maxOverlap != 0.15 {
+	if o.pageSize != 8192 {
 		t.Errorf("tree options: %+v", o)
 	}
 }
@@ -109,13 +106,6 @@ func TestOptionsReachConstructors(t *testing.T) {
 	if rs.Dims() != 4 {
 		t.Error("dims")
 	}
-	xt, err := NewXTree(4, WithPageSize(1024), WithMaxOverlap(0.5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if xt.Dims() != 4 {
-		t.Error("dims")
-	}
 }
 
 func TestStatsZeroValueSafe(t *testing.T) {
@@ -146,9 +136,5 @@ func TestStatsDimsCarried(t *testing.T) {
 	rs, _ := NewRStar(3)
 	if got := rs.Stats().Dims; got != 3 {
 		t.Errorf("RStar Stats.Dims = %d", got)
-	}
-	xt, _ := NewXTree(2)
-	if got := xt.Stats().Dims; got != 2 {
-		t.Errorf("XTree Stats.Dims = %d", got)
 	}
 }

@@ -329,7 +329,6 @@ func TestUpdateParity(t *testing.T) {
 		"sharded":  func() (Index, error) { return NewSharded(dims, WithShards(4)) },
 		"seqscan":  func() (Index, error) { return NewSeqScan(dims) },
 		"rstar":    func() (Index, error) { return NewRStar(dims) },
-		"xtree":    func() (Index, error) { return NewXTree(dims) },
 	}
 	for name, mk := range build {
 		ix, err := mk()
