@@ -126,8 +126,8 @@ type Index interface {
 // phase and published opportunistically afterwards (core.TryDrainStats):
 // readers never wait on statistics publication or reorganization
 // maintenance — both run under brief exclusive acquisitions between
-// queries. The lock, the publication and the background drainer are those
-// of every shard of Sharded: one locked index type serves both.
+// queries. The lock and the publication are those of every shard of
+// Sharded: one locked index type serves both.
 type Adaptive struct {
 	l *shard.Locked
 	engineTelemetry
@@ -137,8 +137,6 @@ type Adaptive struct {
 // dimensionality. By default it uses the in-memory cost scenario, division
 // factor 4, reorganization every 100 queries (incremental, budgeted — see
 // WithReorgBudget) and statistics decay 0.5; see the Option values to tune.
-// With WithBackgroundReorg the index owns a drainer goroutine; call Close
-// when done.
 func NewAdaptive(dims int, opts ...Option) (*Adaptive, error) {
 	o, err := gatherOptions(opts)
 	if err != nil {
@@ -161,12 +159,10 @@ func coreConfig(dims int, o options) core.Config {
 		Decay:               o.decay,
 		ReorgBudgetClusters: o.reorgClusters,
 		ReorgBudgetObjects:  o.reorgObjects,
-		BackgroundReorg:     o.backgroundReorg,
 	}
 }
 
-// newAdaptive puts a core index behind its lock (starting the background
-// drainer when the index was configured for it) and attaches telemetry.
+// newAdaptive puts a core index behind its lock and attaches telemetry.
 func newAdaptive(ix *core.Index, o options) (*Adaptive, error) {
 	a := &Adaptive{l: shard.NewLocked(ix)}
 	if err := a.initTelemetry(o); err != nil {
@@ -176,14 +172,11 @@ func newAdaptive(ix *core.Index, o options) (*Adaptive, error) {
 	return a, nil
 }
 
-// Close stops the background reorganization goroutine (no-op without
-// WithBackgroundReorg) and, when the engine owns its flight recorder
-// (WithTelemetryAddr), the telemetry sampler and endpoint. It is idempotent
-// and safe to call concurrently. The index stays usable afterwards; pending
-// reorganization work is picked up by the normal schedule of a future
-// Reorganize call.
+// Close stops the telemetry sampler and endpoint when the engine owns its
+// flight recorder (WithTelemetryAddr); otherwise it does nothing. It is
+// idempotent and safe to call concurrently, and the index stays usable
+// afterwards.
 func (a *Adaptive) Close() error {
-	a.l.Close()
 	a.closeTelemetry()
 	return nil
 }

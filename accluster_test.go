@@ -1,7 +1,9 @@
 package accluster
 
 import (
+	"math"
 	"math/rand"
+	"path/filepath"
 	"sort"
 	"sync"
 	"testing"
@@ -70,6 +72,45 @@ func TestConstructorErrors(t *testing.T) {
 	}
 	if _, err := NewAdaptive(2, WithDivisionFactor(1)); err == nil {
 		t.Error("bad division factor must fail")
+	}
+	// A cost that is NaN, infinite or negative fails every benefit test,
+	// so an index built on it would never cluster: every constructor
+	// rejects it.
+	nan := MemoryScenario()
+	nan.SigCheckMS = math.NaN()
+	neg := MemoryScenario()
+	neg.VerifyMSPerByte = -1e-6
+	inf := MemoryScenario()
+	inf.ExploreSetupMS = math.Inf(1)
+	dir := t.TempDir()
+	saved, err := NewSharded(2, WithShards(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := saved.SaveDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	file := filepath.Join(t.TempDir(), "adaptive.acdb")
+	one, err := NewAdaptive(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := one.SaveFile(file); err != nil {
+		t.Fatal(err)
+	}
+	for _, sc := range []Scenario{nan, neg, inf} {
+		if _, err := NewAdaptive(2, WithScenario(sc)); err == nil {
+			t.Errorf("NewAdaptive accepted scenario %+v", sc)
+		}
+		if _, err := NewSharded(2, WithScenario(sc)); err == nil {
+			t.Errorf("NewSharded accepted scenario %+v", sc)
+		}
+		if _, err := OpenAdaptive(file, WithScenario(sc)); err == nil {
+			t.Errorf("OpenAdaptive accepted scenario %+v", sc)
+		}
+		if _, err := OpenSharded(dir, WithScenario(sc)); err == nil {
+			t.Errorf("OpenSharded accepted scenario %+v", sc)
+		}
 	}
 }
 

@@ -292,13 +292,13 @@ func TestDiskSearchIDsBatch(t *testing.T) {
 }
 
 // TestConcurrentBatchMutationStress races batched selections against
-// concurrent inserts, updates, deletes and background reorganization on both
-// native in-memory engines. Results can't be pinned under mutation; the test
+// concurrent inserts, updates, deletes and reorganization on both native
+// in-memory engines. Results can't be pinned under mutation; the test
 // asserts structural sanity (per-query slices present, ids within the ever-
 // inserted range) and lets the race detector judge the interleavings.
 func TestConcurrentBatchMutationStress(t *testing.T) {
 	const dims = 3
-	for name, ix := range concurrentEngines(t, dims, WithReorgEvery(20), WithBackgroundReorg()) {
+	for name, ix := range concurrentEngines(t, dims, WithReorgEvery(20)) {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(5))
 			for id := uint32(0); id < 3000; id++ {

@@ -9,22 +9,21 @@ import (
 )
 
 // TestConcurrentCloseAllEngines races four Close calls on every engine that
-// owns goroutines: Adaptive and Sharded with background drainers and their
-// own flight recorders, and Disk with its own flight recorder. Every Close
-// must return, the drainer, sampler and endpoint goroutines must all exit,
-// and the adaptive engines must stay usable. Under -race it also pins that
-// the owned recorder is torn down exactly once.
+// owns goroutines: Adaptive, Sharded and Disk, each with its own flight
+// recorder. Every Close must return, the sampler and endpoint goroutines
+// must all exit, and the adaptive engines must stay usable. Under -race it
+// also pins that the owned recorder is torn down exactly once.
 func TestConcurrentCloseAllEngines(t *testing.T) {
 	const dims = 3
 	src, path := buildDiskCheckpoint(t, dims, 300)
 	src.Close()
 	base := runtime.NumGoroutine()
 
-	a, err := NewAdaptive(dims, WithReorgEvery(5), WithBackgroundReorg(), WithTelemetryAddr("127.0.0.1:0"))
+	a, err := NewAdaptive(dims, WithReorgEvery(5), WithTelemetryAddr("127.0.0.1:0"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewSharded(dims, WithShards(2), WithReorgEvery(5), WithBackgroundReorg(), WithTelemetryAddr("127.0.0.1:0"))
+	s, err := NewSharded(dims, WithShards(2), WithReorgEvery(5), WithTelemetryAddr("127.0.0.1:0"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +32,7 @@ func TestConcurrentCloseAllEngines(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Give the drainers work, so Close stops live goroutines.
+	// Give the engines reorganization work and telemetry to sample.
 	rng := rand.New(rand.NewSource(3))
 	for id := uint32(0); id < 400; id++ {
 		r := randomRect(rng, dims, 0.2)

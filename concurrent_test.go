@@ -25,12 +25,12 @@ func concurrentEngines(t *testing.T, dims int, opts ...Option) map[string]Index 
 }
 
 // TestConcurrentReadersStress hammers both engines with reader goroutines
-// racing concurrent inserts, deletes and background reorganization — the
+// racing concurrent inserts, deletes and reorganization — the
 // interleavings the shared-lock query path must survive. Run under -race in
 // CI (the dedicated multi-reader job repeats it).
 func TestConcurrentReadersStress(t *testing.T) {
 	const dims = 4
-	for name, ix := range concurrentEngines(t, dims, WithReorgEvery(25), WithBackgroundReorg()) {
+	for name, ix := range concurrentEngines(t, dims, WithReorgEvery(25)) {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(61))
 			for id := uint32(0); id < 4000; id++ {

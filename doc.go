@@ -49,14 +49,8 @@
 // Decay^(elapsed epochs) when next touched, so every access probability a
 // reorganization decision reads matches what the synchronous full pass
 // would have used; only the position of the merge/split work in the query
-// stream moves.
-//
-// WithBackgroundReorg moves even the bounded steps off the query path:
-// queries only schedule work, and a drainer goroutine per index (per shard
-// for NewSharded) acquires the engine lock once per step. Indexes built
-// with it own a goroutine — call Close when done. Reorganize still forces a
-// full round synchronously, the convergence hook after bulk loading and in
-// calibration.
+// stream moves. Reorganize still forces a full round synchronously, the
+// convergence hook after bulk loading and in calibration.
 //
 // # Concurrency
 //
@@ -73,21 +67,19 @@
 // publishes them after its shared phase, under a brief exclusive
 // acquisition taken only when the lock is free (blocking once a small
 // backlog watermark is reached). Reorganization maintenance likewise runs
-// between queries — piggybacked on those publication slots, or on the
-// WithBackgroundReorg drainer goroutine — so readers never wait on
-// maintenance. Published increments are exactly the serial ones, so after
-// the backlog drains (any mutation, Reorganize, or an idle-lock moment),
-// concurrent and serial execution of the same query set leave identical
-// clustering statistics up to the commutative reordering of additions. emit
-// callbacks must not call back into the same index.
+// between queries, piggybacked on those publication slots, so readers never
+// wait on maintenance. Published increments are exactly the serial ones, so
+// after the backlog drains (any mutation, Reorganize, or an idle-lock
+// moment), concurrent and serial execution of the same query set leave
+// identical clustering statistics up to the commutative reordering of
+// additions. emit callbacks must not call back into the same index.
 //
 // One internal type owns that lock discipline: a core index behind its
 // reader/writer lock, which runs the read phases under the shared lock,
-// publishes after RUnlock, takes the lock exclusively for mutations, saves
-// and invariant checks, and starts and stops the background drainer.
-// NewAdaptive holds one, every shard of NewSharded is one, and the pub/sub
-// broker runs on the sharded engine. Close is idempotent and safe to call
-// concurrently on every engine.
+// publishes after RUnlock, and takes the lock exclusively for mutations,
+// saves and invariant checks. NewAdaptive holds one, every shard of
+// NewSharded is one, and the pub/sub broker runs on the sharded engine.
+// Close is idempotent and safe to call concurrently on every engine.
 //
 // NewSharded remains the multi-core engine of choice for mixed workloads:
 // it hash-partitions objects by id across independent adaptive indexes (one

@@ -3,7 +3,7 @@
 // unprofitable, §5), adaptation to a query-distribution shift (clusters that
 // stop paying for themselves are merged back, §3.4), and the reorganization
 // scheduler knobs — budgeted incremental steps versus the synchronous full
-// pass, and the opt-in background drainer.
+// pass.
 package main
 
 import (
@@ -147,30 +147,4 @@ func main() {
 			lat[len(lat)*99/100].Round(time.Microsecond),
 			lat[len(lat)-1].Round(time.Microsecond), ix.ReorgRounds())
 	}
-
-	// Part 4: the background drainer takes even the bounded steps off the
-	// query path — queries only schedule revisits, a per-index (or
-	// per-shard, for NewSharded) goroutine drains them, holding the lock
-	// one bounded step at a time. Indexes with a drainer own a goroutine:
-	// Close releases it.
-	fmt.Println("\n=== background reorganization (WithBackgroundReorg) ===")
-	bg, err := accluster.NewAdaptive(dims, accluster.WithReorgEvery(100), accluster.WithBackgroundReorg())
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer bg.Close()
-	if err := load(bg, n, 7); err != nil {
-		log.Fatal(err)
-	}
-	rng = rand.New(rand.NewSource(8))
-	q = accluster.NewRect(dims)
-	for i := 0; i < 1500; i++ {
-		corner(rng, q, float32((i/100)%4)*0.2)
-		if _, err := bg.Count(q, accluster.Intersects); err != nil {
-			log.Fatal(err)
-		}
-	}
-	time.Sleep(50 * time.Millisecond) // let the drainer finish the tail
-	fmt.Printf("background mode: %d clusters, %d splits, %d merges — maintenance ran off the query path\n",
-		bg.Clusters(), bg.Splits(), bg.Merges())
 }

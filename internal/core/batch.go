@@ -40,13 +40,6 @@ type batchScratch struct {
 	sig.Scan
 	one [1]geom.Rect // the query slice of a batch of one
 
-	// Query-major transpose of the cluster-major match:
-	// qcIdx[qcOff[qi]:qcOff[qi+1]] are the statistics-record indices
-	// (positions in Match.QIdx and stats) of query qi's matched clusters,
-	// in ascending cluster order.
-	qcOff []int32
-	qcIdx []int32
-
 	meter cost.Meter // the whole batch's operation counts
 	stats statDelta  // the whole batch's deferred statistics publication
 }
@@ -101,28 +94,16 @@ func (ix *Index) validateBatch(qs []geom.Rect, rel geom.Relation) error {
 //
 //ac:noalloc
 func (ix *Index) SearchBatchRead(dst *geom.IDBatch, qs []geom.Rect, rel geom.Relation) error {
-	return ix.searchBatch(dst, qs, rel, false)
-}
-
-// SearchIDsBatch is SearchBatchRead for exclusive-access callers: the batch
-// statistics apply straight after the read phase — replayed query by query,
-// window ticks and epoch triggers interleaved exactly as the serial
-// single-query loop would — and each query pays its budgeted slice of
-// pending reorganization work.
-func (ix *Index) SearchIDsBatch(dst *geom.IDBatch, qs []geom.Rect, rel geom.Relation) error {
-	return ix.searchBatch(dst, qs, rel, true)
+	return ix.searchBatch(dst, qs, rel)
 }
 
 // searchBatch runs a validated batch into dst and publishes it like
 // searchOne.
 //
 //ac:noalloc
-func (ix *Index) searchBatch(dst *geom.IDBatch, qs []geom.Rect, rel geom.Relation, excl bool) error {
+func (ix *Index) searchBatch(dst *geom.IDBatch, qs []geom.Rect, rel geom.Relation) error {
 	if err := ix.validateBatch(qs, rel); err != nil {
 		return err
-	}
-	if excl {
-		ix.exclusivePrep()
 	}
 	dst.Reset(len(qs))
 	if len(qs) == 0 {
@@ -132,7 +113,7 @@ func (ix *Index) searchBatch(dst *geom.IDBatch, qs []geom.Rect, rel geom.Relatio
 	out := bc.Accumulate(len(qs))
 	ix.batchRead(bc, qs, rel, nil, &out)
 	bc.Collect(dst)
-	ix.publish(bc, excl)
+	ix.publish(bc)
 	return nil
 }
 
@@ -158,47 +139,10 @@ func (ix *Index) batchRead(bc *batchScratch, qs []geom.Rect, rel geom.Relation, 
 	bc.Prepare(ix.sigBounds, nc, ix.cfg.Dims, ix.sigSel, qs, rel)
 	m := &bc.Match
 
-	// Transpose the cluster-major match into the query-major view the
-	// statistics replay needs (counting sort over match positions; within
-	// a query the records stay in ascending cluster order). Each
-	// match.QIdx entry becomes one statistics record below, in the same
-	// order, so the stored value is the entry's own position.
-	if cap(bc.qcOff) < nq+1 {
-		//acvet:ignore noalloc amortized scratch growth; no alloc once qcOff covers the batch size
-		bc.qcOff = make([]int32, 0, nq+1)
-	}
-	bc.qcOff = bc.qcOff[:nq+1]
-	for i := range bc.qcOff {
-		bc.qcOff[i] = 0
-	}
-	for _, q32 := range m.QIdx {
-		bc.qcOff[q32+1]++
-	}
-	for i := 0; i < nq; i++ {
-		bc.qcOff[i+1] += bc.qcOff[i]
-	}
-	pairs := len(m.QIdx)
-	if cap(bc.qcIdx) < pairs {
-		//acvet:ignore noalloc amortized scratch growth; no alloc once qcIdx covers the match volume
-		bc.qcIdx = make([]int32, 0, pairs)
-	}
-	bc.qcIdx = bc.qcIdx[:pairs]
-	for j, q32 := range m.QIdx {
-		bc.qcIdx[bc.qcOff[q32]] = int32(j)
-		bc.qcOff[q32]++
-	}
-	// The cursor pass shifted every offset to the start of the next
-	// query's range; shift back.
-	for i := nq; i > 0; i-- {
-		bc.qcOff[i] = bc.qcOff[i-1]
-	}
-	bc.qcOff[0] = 0
-
 	// Cluster-major statistics recording and verification: each matched
 	// cluster's candidate array and member columns are walked for every
 	// interested query back-to-back, while they are hot in cache. The
-	// records land in match order, which is what the qcIdx transpose
-	// indexes.
+	// records land in match order, so record j belongs to query m.QIdx[j].
 	bd := &bc.stats
 	bd.nq = nq
 	bd.candOff = append(bd.candOff[:0], 0)
@@ -226,80 +170,55 @@ func (ix *Index) batchRead(bc *batchScratch, qs []geom.Rect, rel geom.Relation, 
 	}
 }
 
-// publish merges a finished read phase's meter delta and hands its
-// statistics record on. An exclusive caller (excl) replays the record query
-// by query at once, each query followed by one budgeted reorganization step
-// — the serial maintenance cadence; a concurrent caller queues it for the
-// next exclusive holder.
+// publish merges a finished read phase's meter delta and queues its
+// statistics record for the next exclusive holder (publish.go).
 //
 //ac:noalloc
-func (ix *Index) publish(bc *batchScratch, excl bool) {
+func (ix *Index) publish(bc *batchScratch) {
 	ix.meter.Merge(bc.meter)
-	if !excl {
-		ix.enqueueStats(bc)
-		return
-	}
-	for qi := 0; qi < bc.stats.nq; qi++ {
-		ix.applyQuery(bc, qi)
-		if !ix.cfg.BackgroundReorg && len(ix.reorgQ) > 0 {
-			ix.drain(ix.cfg.ReorgBudgetClusters, ix.cfg.ReorgBudgetObjects)
-		}
-	}
-	ix.putBatchScratch(bc)
+	ix.enqueueStats(bc)
 }
 
-// applyQuery performs one query's share of a read phase's statistics
-// publication: Q of every signature-matching cluster, q of every matched
-// candidate, one statistics window tick and the epoch trigger — picked out
-// of the cluster-major record through the query-major transpose. Clusters
-// merged away since the read ran are skipped; their statistics died with
-// them, as they would have had the merge preceded the query.
-func (ix *Index) applyQuery(bc *batchScratch, qi int) {
+// applyRecord applies one read phase's statistics record: Q of every
+// signature-matching cluster, q of every matched candidate and one window
+// tick per query, with a new epoch opened wherever the query count reaches
+// ReorgEvery. The record is walked cluster-major, one run at a time, where a
+// run is a stretch of queries no epoch boundary splits. Within a run the
+// order of the increments is immaterial — syncStats is idempotent inside an
+// epoch and each indicator only gains whole queries — so the walk leaves
+// exactly the state the queries applied one by one would, and a batch
+// equals its looped singles. Clusters merged away since the read ran are
+// skipped; their statistics died with them, as they would have had the
+// merge preceded the query.
+//
+//ac:excl
+func (ix *Index) applyRecord(bc *batchScratch) {
 	d := &bc.stats
-	for _, j := range bc.qcIdx[bc.qcOff[qi]:bc.qcOff[qi+1]] {
-		c := d.clusters[j]
-		if c.removed {
-			continue
+	qidx := bc.Match.QIdx
+	for q0 := 0; q0 < d.nq; {
+		q1 := min(d.nq, q0+ix.cfg.ReorgEvery-ix.sinceReorg)
+		var last *Cluster
+		for j, c := range d.clusters {
+			if qi := int(qidx[j]); qi < q0 || qi >= q1 || c.removed {
+				continue
+			}
+			if c != last {
+				ix.syncStats(c)
+				last = c
+			}
+			c.q++
+			cq := c.cands.q
+			for _, k := range d.cands[d.candOff[j]:d.candOff[j+1]] {
+				cq[k]++
+			}
 		}
-		ix.syncStats(c)
-		c.q++
-		cq := c.cands.q
-		for _, k := range d.cands[d.candOff[j]:d.candOff[j+1]] {
-			cq[k]++
+		for range q1 - q0 {
+			ix.window++
 		}
+		ix.sinceReorg += q1 - q0
+		if ix.sinceReorg >= ix.cfg.ReorgEvery {
+			ix.beginEpoch()
+		}
+		q0 = q1
 	}
-	ix.window++
-	ix.sinceReorg++
-	if ix.sinceReorg >= ix.cfg.ReorgEvery {
-		ix.beginEpoch()
-	}
-}
-
-// applyInline applies a whole read phase's statistics in one cluster-major
-// walk over the records. Valid only when no epoch boundary falls inside the
-// batch (ix.sinceReorg + nq < ReorgEvery): then the per-query replay's
-// observable effects — syncStats, which early-returns once a cluster is
-// synced to the current epoch, and the commutative Q increments and window
-// ticks — are order-independent, so the linear walk over the records (each
-// cluster's entries adjacent, its stats hot) produces the identical state at
-// a fraction of the pointer-chasing.
-func (ix *Index) applyInline(bc *batchScratch) {
-	d := &bc.stats
-	var last *Cluster
-	for j, c := range d.clusters {
-		if c.removed {
-			continue
-		}
-		if c != last {
-			ix.syncStats(c)
-			last = c
-		}
-		c.q++
-		cq := c.cands.q
-		for _, k := range d.cands[d.candOff[j]:d.candOff[j+1]] {
-			cq[k]++
-		}
-	}
-	ix.window += float64(d.nq)
-	ix.sinceReorg += d.nq
 }

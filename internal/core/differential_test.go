@@ -102,7 +102,7 @@ func TestSearchDifferential(t *testing.T) {
 				want := ref.search(q, rel)
 
 				before := ix.Meter()
-				got, err := ix.SearchIDs(q, rel)
+				got, err := searchIDs(ix, q, rel)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -125,14 +125,16 @@ func TestSearchDifferential(t *testing.T) {
 
 				// The three retrieval surfaces agree with each other.
 				appendBuf = appendBuf[:0]
-				appendBuf, err = ix.SearchIDsAppend(appendBuf, q, rel)
+				appendBuf, err = ix.SearchIDsAppendRead(appendBuf, q, rel)
+				ix.DrainStats()
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !equalIDs(sortedCopy(appendBuf), want) {
 					t.Fatalf("dims=%d step=%d rel=%v: SearchIDsAppend mismatch", dims, step, rel)
 				}
-				n, err := ix.Count(q, rel)
+				n, err := ix.CountRead(q, rel)
+				ix.DrainStats()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -140,7 +142,9 @@ func TestSearchDifferential(t *testing.T) {
 					t.Fatalf("dims=%d step=%d rel=%v: Count %d, want %d", dims, step, rel, n, len(want))
 				}
 				var emitted []uint32
-				if err := ix.Search(q, rel, func(id uint32) bool { emitted = append(emitted, id); return true }); err != nil {
+				err = ix.SearchRead(q, rel, func(id uint32) bool { emitted = append(emitted, id); return true })
+				ix.DrainStats()
+				if err != nil {
 					t.Fatal(err)
 				}
 				if !equalIDs(sortedCopy(emitted), want) {
@@ -168,7 +172,9 @@ func TestSearchDifferential(t *testing.T) {
 					})
 					before = ix.Meter()
 					seen := 0
-					if err := ix.Search(q, rel, func(uint32) bool { seen++; return seen < stopAfter }); err != nil {
+					err := ix.SearchRead(q, rel, func(uint32) bool { seen++; return seen < stopAfter })
+					ix.DrainStats()
+					if err != nil {
 						t.Fatal(err)
 					}
 					d = ix.Meter().Sub(before)
@@ -191,8 +197,8 @@ func TestSearchDifferential(t *testing.T) {
 }
 
 // TestReentrantQueryPanics pins the scratch-reuse contract: an emit callback
-// querying the same index must panic instead of silently corrupting the
-// in-flight search.
+// querying the same index as its single owner (read, then DrainStats) must
+// panic instead of silently corrupting the in-flight search.
 func TestReentrantQueryPanics(t *testing.T) {
 	ix := mustNew(t, Config{Dims: 2})
 	rng := rand.New(rand.NewSource(1))
@@ -207,8 +213,8 @@ func TestReentrantQueryPanics(t *testing.T) {
 			t.Fatal("reentrant query did not panic")
 		}
 	}()
-	_ = ix.Search(q, geom.Intersects, func(uint32) bool {
-		_, _ = ix.Count(q, geom.Intersects)
+	_ = ix.SearchRead(q, geom.Intersects, func(uint32) bool {
+		_, _ = searchIDs(ix, q, geom.Intersects)
 		return true
 	})
 }

@@ -19,7 +19,7 @@ func TestDrainAndRefill(t *testing.T) {
 		}
 	}
 	for i := 0; i < 100; i++ {
-		if err := ix.Search(randomRect(rng, 2, 0.1), geom.Intersects, func(uint32) bool { return true }); err != nil {
+		if _, err := searchIDs(ix, randomRect(rng, 2, 0.1), geom.Intersects); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -36,11 +36,11 @@ func TestDrainAndRefill(t *testing.T) {
 	}
 	// Queries on the drained index are empty but well-defined; another
 	// reorganization round must clean up empty clusters eventually.
-	if n, err := ix.Count(randomRect(rng, 2, 0.5), geom.Intersects); err != nil || n != 0 {
+	if n, err := ix.CountRead(randomRect(rng, 2, 0.5), geom.Intersects); err != nil || n != 0 {
 		t.Fatalf("drained count = %d, %v", n, err)
 	}
 	for i := 0; i < 60; i++ {
-		if err := ix.Search(randomRect(rng, 2, 0.5), geom.Intersects, func(uint32) bool { return true }); err != nil {
+		if _, err := searchIDs(ix, randomRect(rng, 2, 0.5), geom.Intersects); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -69,7 +69,9 @@ func TestEarlyStopKeepsStatisticsConsistent(t *testing.T) {
 	full := geom.Rect{Min: []float32{0, 0}, Max: []float32{1, 1}}
 	for i := 0; i < 50; i++ {
 		// Stop after the first hit every time.
-		if err := ix.Search(full, geom.Intersects, func(uint32) bool { return false }); err != nil {
+		err := ix.SearchRead(full, geom.Intersects, func(uint32) bool { return false })
+		ix.DrainStats()
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -77,7 +79,7 @@ func TestEarlyStopKeepsStatisticsConsistent(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Counts must still be exact afterwards.
-	n, err := ix.Count(full, geom.Intersects)
+	n, err := ix.CountRead(full, geom.Intersects)
 	if err != nil || n != 800 {
 		t.Fatalf("count after early stops: %d, %v", n, err)
 	}
@@ -105,19 +107,19 @@ func TestDegenerateObjectsAtDomainBoundary(t *testing.T) {
 		}
 	}
 	for i := 0; i < 100; i++ {
-		if err := ix.Search(randomRect(rng, 3, 0.2), geom.Intersects, func(uint32) bool { return true }); err != nil {
+		if _, err := searchIDs(ix, randomRect(rng, 3, 0.2), geom.Intersects); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// The full-domain query must return everything, including the
 	// boundary objects.
 	all := geom.Rect{Min: []float32{0, 0, 0}, Max: []float32{1, 1, 1}}
-	n, err := ix.Count(all, geom.Intersects)
+	n, err := ix.CountRead(all, geom.Intersects)
 	if err != nil || n != 1004 {
 		t.Fatalf("full-domain count: %d, %v", n, err)
 	}
 	// Point-enclosing at the corner finds the objects covering it.
-	m, err := ix.Count(geom.Point([]float32{1, 1, 1}), geom.Encloses)
+	m, err := ix.CountRead(geom.Point([]float32{1, 1, 1}), geom.Encloses)
 	if err != nil || m < 2 { // the corner point itself + full-domain object
 		t.Fatalf("corner enclosing count: %d, %v", m, err)
 	}
@@ -136,7 +138,7 @@ func TestDecayOneNeverForgets(t *testing.T) {
 	}
 	q := geom.Rect{Min: []float32{0}, Max: []float32{1}}
 	for i := 0; i < 40; i++ {
-		if err := ix.Search(q, geom.Intersects, func(uint32) bool { return true }); err != nil {
+		if _, err := searchIDs(ix, q, geom.Intersects); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -160,7 +162,7 @@ func TestDiskScenarioFormsCoarserClusters(t *testing.T) {
 		}
 		qrng := rand.New(rand.NewSource(55))
 		for i := 0; i < 500; i++ {
-			if err := ix.Search(randomRect(qrng, 4, 0.05), geom.Intersects, func(uint32) bool { return true }); err != nil {
+			if _, err := searchIDs(ix, randomRect(qrng, 4, 0.05), geom.Intersects); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -42,11 +42,6 @@ type Config struct {
 	// 100 µs of steps per query), making a full default step comparable
 	// to a moderately selective query.
 	ReorgBudgetObjects int
-	// BackgroundReorg defers queue draining to an external agent: Search
-	// only opens reorganization epochs and never runs revisits itself;
-	// the owner is expected to call ReorgStep (under its own
-	// synchronization) whenever ReorgPending reports work.
-	BackgroundReorg bool
 }
 
 func (c *Config) setDefaults() error {
@@ -86,6 +81,15 @@ func (c *Config) setDefaults() error {
 	if c.Params.Name == "" {
 		c.Params = cost.Memory()
 	}
+	// A NaN, infinite or negative price fails every benefit test, so the
+	// index would silently never cluster. All-zero prices are a free
+	// machine and stay valid.
+	p := c.Params
+	for _, v := range [...]float64{p.SigCheckMS, p.ExploreSetupMS, p.SeekMS, p.VerifyMSPerByte, p.TransferMSPerByte} {
+		if !(v >= 0 && v <= math.MaxFloat64) {
+			return fmt.Errorf("core: scenario %q has a cost that is not finite and ≥ 0: %+v", p.Name, p)
+		}
+	}
 	return nil
 }
 
@@ -111,9 +115,9 @@ type objLoc struct {
 // (SearchRead, SearchIDsAppendRead, CountRead, SearchBatchRead) may run
 // concurrently with each other — they only read structural state and queue
 // their statistics record (publish.go) — while every other method requires
-// exclusive access; an exclusive query applies its own record straight
-// after its read phase. The public accluster package enforces the contract
-// with a reader/writer lock per index.
+// exclusive access. A single-owner caller follows each read with DrainStats.
+// The public accluster package enforces the contract with a reader/writer
+// lock per index.
 type Index struct {
 	cfg      Config
 	objBytes int

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -16,6 +17,15 @@ func mustNew(t *testing.T, cfg Config) *Index {
 		t.Fatalf("New(%+v): %v", cfg, err)
 	}
 	return ix
+}
+
+// searchIDs runs one query the way a single owner does — the read phase,
+// then DrainStats, which applies the query's statistics record and takes one
+// budgeted reorganization step — and returns its answer.
+func searchIDs(ix *Index, q geom.Rect, rel geom.Relation) ([]uint32, error) {
+	ids, err := ix.SearchIDsAppendRead(nil, q, rel)
+	ix.DrainStats()
+	return ids, err
 }
 
 func randomRect(rng *rand.Rand, dims int, maxSize float32) geom.Rect {
@@ -41,6 +51,23 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Dims: 2, Decay: 1.5}); err == nil {
 		t.Error("decay > 1 must fail")
 	}
+	// Every cost must be finite and ≥ 0; all-zero costs are a free machine.
+	for name, mut := range map[string]func(p *cost.Params){
+		"NaN SigCheckMS":           func(p *cost.Params) { p.SigCheckMS = math.NaN() },
+		"+Inf ExploreSetupMS":      func(p *cost.Params) { p.ExploreSetupMS = math.Inf(1) },
+		"negative SeekMS":          func(p *cost.Params) { p.SeekMS = -1 },
+		"negative VerifyMSPerByte": func(p *cost.Params) { p.VerifyMSPerByte = -1e-6 },
+		"-Inf TransferMSPerByte":   func(p *cost.Params) { p.TransferMSPerByte = math.Inf(-1) },
+	} {
+		p := cost.Memory()
+		mut(&p)
+		if _, err := New(Config{Dims: 2, Params: p}); err == nil {
+			t.Errorf("%s must fail", name)
+		}
+	}
+	if _, err := New(Config{Dims: 2, Params: cost.Params{Name: "free"}}); err != nil {
+		t.Errorf("all-zero costs must stay valid: %v", err)
+	}
 	ix := mustNew(t, Config{Dims: 2})
 	cfg := ix.Config()
 	if cfg.DivisionFactor != 4 || cfg.ReorgEvery != 100 || cfg.Decay != 0.5 || cfg.Params.Name != "memory" {
@@ -53,7 +80,7 @@ func TestEmptyIndex(t *testing.T) {
 	if ix.Len() != 0 || ix.Clusters() != 1 || ix.Dims() != 3 {
 		t.Fatalf("empty index: len=%d clusters=%d", ix.Len(), ix.Clusters())
 	}
-	ids, err := ix.SearchIDs(geom.Point([]float32{0.5, 0.5, 0.5}), geom.Encloses)
+	ids, err := searchIDs(ix, geom.Point([]float32{0.5, 0.5, 0.5}), geom.Encloses)
 	if err != nil || len(ids) != 0 {
 		t.Fatalf("query on empty index: ids=%v err=%v", ids, err)
 	}
@@ -122,10 +149,10 @@ func TestInsertGetDelete(t *testing.T) {
 
 func TestSearchValidation(t *testing.T) {
 	ix := mustNew(t, Config{Dims: 2})
-	if err := ix.Search(geom.Point([]float32{0.5}), geom.Intersects, func(uint32) bool { return true }); err == nil {
+	if err := ix.SearchRead(geom.Point([]float32{0.5}), geom.Intersects, func(uint32) bool { return true }); err == nil {
 		t.Error("wrong query dimensionality must fail")
 	}
-	if err := ix.Search(geom.Point([]float32{0.5, 0.5}), geom.Relation(7), func(uint32) bool { return true }); err == nil {
+	if err := ix.SearchRead(geom.Point([]float32{0.5, 0.5}), geom.Relation(7), func(uint32) bool { return true }); err == nil {
 		t.Error("invalid relation must fail")
 	}
 }
@@ -143,7 +170,7 @@ func runWorkload(t *testing.T, ix *Index, rng *rand.Rand, nObjs, nQueries int, m
 	queries := make([]geom.Rect, nQueries)
 	for i := range queries {
 		queries[i] = randomRect(rng, dims, maxQry)
-		if err := ix.Search(queries[i], geom.Intersects, func(uint32) bool { return true }); err != nil {
+		if _, err := searchIDs(ix, queries[i], geom.Intersects); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -192,7 +219,7 @@ func TestDifferentialAgainstBruteForce(t *testing.T) {
 		for qi := 0; qi < 150; qi++ {
 			q := randomRect(rng, dims, 0.6)
 			rel := geom.Relation(qi % 3)
-			got, err := ix.SearchIDs(q, rel)
+			got, err := searchIDs(ix, q, rel)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -233,7 +260,7 @@ func TestPointEnclosingQueries(t *testing.T) {
 	}
 	for i := 0; i < 100; i++ {
 		p := geom.Point([]float32{rng.Float32(), rng.Float32(), rng.Float32()})
-		got, err := ix.SearchIDs(p, geom.Encloses)
+		got, err := searchIDs(ix, p, geom.Encloses)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -259,7 +286,7 @@ func TestEarlyTermination(t *testing.T) {
 	}
 	q := geom.Rect{Min: []float32{0, 0}, Max: []float32{1, 1}}
 	seen := 0
-	err := ix.Search(q, geom.Intersects, func(uint32) bool {
+	err := ix.SearchRead(q, geom.Intersects, func(uint32) bool {
 		seen++
 		return seen < 5
 	})
@@ -295,7 +322,7 @@ func TestDeleteThenQueryConsistency(t *testing.T) {
 			}
 		}
 		q := randomRect(rng, 3, 0.5)
-		got, err := ix.SearchIDs(q, geom.Intersects)
+		got, err := searchIDs(ix, q, geom.Intersects)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -327,7 +354,7 @@ func TestMergeOnDistributionShift(t *testing.T) {
 	// Phase 1: very selective queries in a corner → clusters form.
 	for i := 0; i < 600; i++ {
 		q := geom.Rect{Min: []float32{0, 0}, Max: []float32{0.05, 0.05}}
-		if err := ix.Search(q, geom.Intersects, func(uint32) bool { return true }); err != nil {
+		if _, err := searchIDs(ix, q, geom.Intersects); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -339,7 +366,7 @@ func TestMergeOnDistributionShift(t *testing.T) {
 	// clusters stop paying for themselves on disk and merge back.
 	for i := 0; i < 1500; i++ {
 		q := geom.Rect{Min: []float32{0, 0}, Max: []float32{1, 1}}
-		if err := ix.Search(q, geom.Intersects, func(uint32) bool { return true }); err != nil {
+		if _, err := searchIDs(ix, q, geom.Intersects); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -360,7 +387,7 @@ func TestMeterAccounting(t *testing.T) {
 		}
 	}
 	q := geom.Rect{Min: []float32{0, 0}, Max: []float32{1, 1}}
-	n, err := ix.Count(q, geom.Intersects)
+	n, err := ix.CountRead(q, geom.Intersects)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +413,7 @@ func TestMeterAccounting(t *testing.T) {
 	// later columns only the survivors.
 	ix.ResetMeter()
 	half := geom.Rect{Min: []float32{0, 0}, Max: []float32{0.5, 1}}
-	if _, err := ix.Count(half, geom.Intersects); err != nil {
+	if _, err := ix.CountRead(half, geom.Intersects); err != nil {
 		t.Fatal(err)
 	}
 	m = ix.Meter()
@@ -412,7 +439,7 @@ func TestInsertPrefersColdClusters(t *testing.T) {
 	}
 	q := geom.Rect{Min: []float32{0.9, 0.9}, Max: []float32{0.95, 0.95}}
 	for i := 0; i < 400; i++ {
-		if err := ix.Search(q, geom.Intersects, func(uint32) bool { return true }); err != nil {
+		if _, err := searchIDs(ix, q, geom.Intersects); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -465,7 +492,7 @@ func TestStatsDecay(t *testing.T) {
 	q := geom.Rect{Min: []float32{0, 0}, Max: []float32{1}}
 	q = geom.Rect{Min: []float32{0}, Max: []float32{1}}
 	for i := 0; i < 10; i++ {
-		if err := ix.Search(q, geom.Intersects, func(uint32) bool { return true }); err != nil {
+		if _, err := searchIDs(ix, q, geom.Intersects); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -17,7 +17,7 @@ func TestClusterInfos(t *testing.T) {
 	}
 	for i := 0; i < 300; i++ {
 		q := randomRect(rng, 3, 0.1)
-		if err := ix.Search(q, geom.Intersects, func(uint32) bool { return true }); err != nil {
+		if _, err := searchIDs(ix, q, geom.Intersects); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -59,7 +59,7 @@ func TestStatefulModel(t *testing.T) {
 			case k < 9: // search
 				q := randomRect(rng, dims, 0.6)
 				rel := geom.Relation(rng.Intn(3))
-				got, err := ix.SearchIDs(q, rel)
+				got, err := searchIDs(ix, q, rel)
 				if err != nil {
 					t.Logf("search: %v", err)
 					return false
@@ -122,7 +122,7 @@ func TestSnapshotRestoreProperty(t *testing.T) {
 		}
 		for i := 0; i < 100; i++ {
 			q := randomRect(rng, dims, 0.3)
-			if err := ix.Search(q, geom.Intersects, func(uint32) bool { return true }); err != nil {
+			if _, err := searchIDs(ix, q, geom.Intersects); err != nil {
 				return false
 			}
 		}
@@ -141,8 +141,8 @@ func TestSnapshotRestoreProperty(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			q := randomRect(rng, dims, 0.5)
 			rel := geom.Relation(i % 3)
-			a, err1 := ix.SearchIDs(q, rel)
-			b, err2 := restored.SearchIDs(q, rel)
+			a, err1 := searchIDs(ix, q, rel)
+			b, err2 := searchIDs(restored, q, rel)
 			if err1 != nil || err2 != nil || len(a) != len(b) {
 				return false
 			}

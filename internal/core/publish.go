@@ -26,14 +26,14 @@ package core
 //     readers never wait for publication, with a blocking drain only once
 //     the backlog reaches StatsBacklogMax.
 //
-// This is the one statistics mechanism: every read records. An exclusive
-// caller (Search, SearchIDsAppend, Count, SearchIDsBatch) applies its own
-// record straight after its read phase, query by query with one budgeted
-// reorganization step after each. Applied increments are exactly one per
-// explored cluster and matched candidate and one window tick per query, so
-// after all records drain, concurrent and serial execution of the same query
-// set leave identical statistics up to the commutative reordering of the
-// additions.
+// The mailbox is the only way a record reaches the index, applyRecord the
+// only routine that applies one and DrainStats the only per-query driver of
+// reorganization steps. A single-owner caller runs a *Read method and then
+// DrainStats: one record applied, one budgeted step taken — the serial
+// cadence. Applied increments are exactly one per explored cluster and
+// matched candidate and one window tick per query, so after all records
+// drain, concurrent and serial execution of the same query set leave
+// identical statistics up to the commutative reordering of the additions.
 
 import (
 	"sync"
@@ -50,8 +50,7 @@ const StatsBacklogMax = 128
 // cluster-major — record j is the j-th entry of the read's cluster-major
 // match, naming the cluster (one Q increment) and, as a flat index list
 // sliced by candOff, the candidate subclusters the query virtually explored
-// (one q increment each). The scratch's query-major transpose picks out
-// each query's records for the replay.
+// (one q increment each). The record's query is the match's QIdx[j].
 type statDelta struct {
 	nq       int
 	clusters []*Cluster
@@ -91,14 +90,14 @@ func (ix *Index) StatsBacklog() int { return int(ix.pendN.Load()) }
 // goroutine (the one way the exclusivity contract can be broken without a
 // data race — an emit callback calling back into the index) and applies all
 // queued statistics publications so the operation observes current
-// statistics.
+// statistics. It returns the number of queries applied.
 //
 //ac:excl
-func (ix *Index) exclusivePrep() {
+func (ix *Index) exclusivePrep() int {
 	if ix.readers.Load() != 0 {
 		panic("core: exclusive operation during an in-flight query (emit must not call back into the index)")
 	}
-	ix.applyPending()
+	return ix.applyPending()
 }
 
 // applyPending applies every queued statistics delta in enqueue order and
@@ -118,16 +117,7 @@ func (ix *Index) applyPending() int {
 	ix.pendMu.Unlock()
 	n := 0
 	for i, bc := range batch {
-		if ix.sinceReorg+bc.stats.nq < ix.cfg.ReorgEvery {
-			// No epoch boundary inside the batch: the per-query
-			// replay is order-independent, so apply cluster-major
-			// (see applyInline).
-			ix.applyInline(bc)
-		} else {
-			for qi := 0; qi < bc.stats.nq; qi++ {
-				ix.applyQuery(bc, qi)
-			}
-		}
+		ix.applyRecord(bc)
 		n += bc.stats.nq
 		ix.putBatchScratch(bc)
 		batch[i] = nil
@@ -148,29 +138,18 @@ func (ix *Index) applyPending() int {
 // removed. The remainder stays queued for later drains (or Reorganize).
 const maxDrainReorgSteps = 8
 
-// DrainStats applies all queued statistics publications and, unless the
-// index defers maintenance to a background drainer
-// (Config.BackgroundReorg), runs one budgeted reorganization step per
-// applied query — the serial maintenance cadence — capped at
-// maxDrainReorgSteps per call so the exclusive section stays bounded even
-// when a full mailbox drains at once. It reports whether reorganization
-// work remains queued. The caller must hold the index exclusively.
+// DrainStats applies all queued statistics publications and runs one
+// budgeted reorganization step per applied query — the serial maintenance
+// cadence — capped at maxDrainReorgSteps per call so the exclusive section
+// stays bounded even when a full mailbox drains at once. The caller must
+// hold the index exclusively.
 //
 //ac:excl
-func (ix *Index) DrainStats() bool {
-	if ix.readers.Load() != 0 {
-		panic("core: exclusive operation during an in-flight query (emit must not call back into the index)")
+func (ix *Index) DrainStats() {
+	steps := min(ix.exclusivePrep(), maxDrainReorgSteps)
+	for i := 0; i < steps && len(ix.reorgQ) > 0; i++ {
+		ix.drain(ix.cfg.ReorgBudgetClusters, ix.cfg.ReorgBudgetObjects)
 	}
-	applied := ix.applyPending()
-	if !ix.cfg.BackgroundReorg {
-		if applied > maxDrainReorgSteps {
-			applied = maxDrainReorgSteps
-		}
-		for i := 0; i < applied && len(ix.reorgQ) > 0; i++ {
-			ix.drain(ix.cfg.ReorgBudgetClusters, ix.cfg.ReorgBudgetObjects)
-		}
-	}
-	return len(ix.reorgQ) > 0
 }
 
 // TryDrainStats publishes queued statistics under mu, the reader/writer lock
@@ -178,21 +157,18 @@ func (ix *Index) DrainStats() bool {
 // must be called WITHOUT mu held. Publication is opportunistic: while the
 // backlog is below StatsBacklogMax a failed TryLock just leaves the deltas
 // for the next exclusive holder, so concurrent readers never wait on
-// publication; at the watermark it blocks to bound the backlog. Reports
-// whether reorganization work is pending (the background-drainer wake
-// signal); false when nothing was drained.
-func (ix *Index) TryDrainStats(mu *sync.RWMutex) bool {
+// publication; at the watermark it blocks to bound the backlog.
+func (ix *Index) TryDrainStats(mu *sync.RWMutex) {
 	if ix.pendN.Load() == 0 {
-		return false
+		return
 	}
 	if ix.StatsBacklog() < StatsBacklogMax {
 		if !mu.TryLock() {
-			return false
+			return
 		}
 	} else {
 		mu.Lock()
 	}
-	pending := ix.DrainStats()
+	ix.DrainStats()
 	mu.Unlock()
-	return pending
 }

@@ -6,7 +6,7 @@ package core
 // cluster is merged back into its parent when the merging benefit function is
 // positive, otherwise its best positive-benefit candidate subclusters are
 // materialized greedily. Running that whole pass synchronously inside one
-// Search call makes every ReorgEvery-th caller absorb an O(clusters) (and
+// query makes every ReorgEvery-th caller absorb an O(clusters) (and
 // O(objects relocated)) latency spike, so the pass is decomposed into
 // bounded steps over a work queue:
 //
@@ -16,11 +16,10 @@ package core
 //     enqueued for one revisit, ordered by its cached benefit estimate from
 //     the previous revisit (best merge/materialization benefit, refreshed
 //     lazily when the cluster is actually processed).
-//   - Each trigger then drains the queue under a configurable budget
+//   - The queue then drains under a configurable budget
 //     (ReorgBudgetClusters revisits and/or ReorgBudgetObjects relocations
-//     per step): inline after each query by default, or from an external
-//     drainer (a background goroutine owning the index lock) when
-//     Config.BackgroundReorg is set.
+//     per step), one step per applied query, taken by DrainStats (publish.go)
+//     once the query's statistics record is applied.
 //
 // Because the window and the per-cluster indicators are decayed by the same
 // factor per epoch, every access probability q/W a revisit observes is
@@ -52,8 +51,8 @@ func (ix *Index) Reorganize() {
 // are still queued. That is by design, not a failure: the benefit ordering
 // runs the profitable merges and materializations in the earliest steps, so
 // what carries over is the low-benefit tail — revisits that would mostly
-// no-op. Raise the budgets (WithReorgBudget) or move draining off the query
-// path (BackgroundReorg) if a deployment wants strictly per-epoch currency.
+// no-op. Raise the budgets (WithReorgBudget) if a deployment wants strictly
+// per-epoch currency.
 func (ix *Index) beginEpoch() {
 	ix.sinceReorg = 0
 	ix.epoch++
@@ -74,33 +73,18 @@ func (ix *Index) enqueueReorg(c *Cluster) {
 	ix.reorgQ.push(c)
 }
 
-// ReorgPending reports whether reorganization revisits are queued.
-func (ix *Index) ReorgPending() bool { return len(ix.reorgQ) > 0 }
-
-// ReorgStep drains one budgeted slice of the reorganization queue
-// (Config.ReorgBudgetClusters revisits, Config.ReorgBudgetObjects
-// relocations) and reports whether work remains. It is the unit an external
-// drainer runs per lock acquisition when Config.BackgroundReorg is set.
-//
-//ac:excl
-func (ix *Index) ReorgStep() bool {
-	ix.exclusivePrep()
-	return ix.drain(ix.cfg.ReorgBudgetClusters, ix.cfg.ReorgBudgetObjects)
-}
-
 // drain revisits queued clusters until the queue empties or a budget is
 // exhausted (negative budgets are unlimited). Merges and materializations
 // are chunked — a cluster can fill or empty across several steps — so the
 // object budget is a hard cap on the relocations any single step performs.
-// Reports whether work remains.
-func (ix *Index) drain(clusterBudget, objectBudget int) bool {
+func (ix *Index) drain(clusterBudget, objectBudget int) {
 	visited, moved := 0, 0
 	for len(ix.reorgQ) > 0 {
 		if clusterBudget >= 0 && visited >= clusterBudget {
-			return true
+			return
 		}
 		if objectBudget >= 0 && moved >= objectBudget {
-			return true
+			return
 		}
 		c := ix.reorgQ.pop()
 		c.queued = false
@@ -119,10 +103,9 @@ func (ix *Index) drain(clusterBudget, objectBudget int) bool {
 			// benefit candidates left: the cluster keeps its place in
 			// the queue (at the refreshed priority) for the next step.
 			ix.enqueueReorg(c)
-			return true
+			return
 		}
 	}
-	return false
 }
 
 // revisit applies the Fig. 1 decision to c under an object budget (negative

@@ -59,7 +59,9 @@ func TestEarlyStopAccounting(t *testing.T) {
 
 	// Stop inside the root (position 0): the child is matched but must
 	// not be explored.
-	if err := ix.Search(q, geom.Intersects, func(uint32) bool { return false }); err != nil {
+	err := ix.SearchRead(q, geom.Intersects, func(uint32) bool { return false })
+	ix.DrainStats()
+	if err != nil {
 		t.Fatal(err)
 	}
 	m := ix.Meter()
@@ -86,7 +88,7 @@ func TestEarlyStopAccounting(t *testing.T) {
 	// The same query without early stop explores both clusters; the only
 	// meter difference is the verification work of the second cluster.
 	ix.ResetMeter()
-	if err := ix.Search(q, geom.Intersects, func(uint32) bool { return true }); err != nil {
+	if _, err := searchIDs(ix, q, geom.Intersects); err != nil {
 		t.Fatal(err)
 	}
 	m = ix.Meter()
@@ -132,7 +134,7 @@ func TestBudgetedReorgMatchesFullPass(t *testing.T) {
 				live = live[:len(live)-1]
 			default: // query
 				q := randomRect(rng, 4, 0.4)
-				if err := ix.Search(q, geom.Intersects, func(uint32) bool { return true }); err != nil {
+				if _, err := searchIDs(ix, q, geom.Intersects); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -173,7 +175,7 @@ func TestBudgetedReorgMatchesFullPass(t *testing.T) {
 		const n = 200
 		for i := 0; i < n; i++ {
 			q := randomRect(rng, 4, 0.4)
-			if err := ix.Search(q, geom.Intersects, func(uint32) bool { return true }); err != nil {
+			if _, err := searchIDs(ix, q, geom.Intersects); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -229,41 +231,6 @@ func TestBudgetedReorgMatchesFullPass(t *testing.T) {
 	}
 }
 
-// TestReorgStepContract pins the drain API: after an epoch opens, ReorgPending
-// reports work, each ReorgStep makes progress, and drains converge to an
-// empty queue with consistent invariants.
-func TestReorgStepContract(t *testing.T) {
-	ix := mustNew(t, Config{Dims: 2, ReorgEvery: 10, ReorgBudgetClusters: 1, BackgroundReorg: true})
-	rng := rand.New(rand.NewSource(5))
-	for id := uint32(0); id < 2000; id++ {
-		if err := ix.Insert(id, randomRect(rng, 2, 0.05)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	q := geom.Rect{Min: []float32{0, 0}, Max: []float32{0.08, 0.08}}
-	for i := 0; i < 10; i++ {
-		if err := ix.Search(q, geom.Intersects, func(uint32) bool { return true }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !ix.ReorgPending() {
-		t.Fatal("epoch rolled but no reorganization work pending (BackgroundReorg must not drain inline)")
-	}
-	steps := 0
-	for ix.ReorgStep() {
-		steps++
-		if steps > 10000 {
-			t.Fatal("ReorgStep never converged")
-		}
-	}
-	if ix.ReorgPending() {
-		t.Fatal("queue non-empty after ReorgStep reported completion")
-	}
-	if err := ix.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestLazyDecayEquivalence checks that a cluster left untouched for several
 // epochs ages by exactly Decay^epochs when finally read, matching the eager
 // per-round decay of the synchronous implementation.
@@ -272,7 +239,7 @@ func TestLazyDecayEquivalence(t *testing.T) {
 	ix.cfg.Decay = 0.5
 
 	full := geom.Rect{Min: []float32{0, 0}, Max: []float32{1, 1}}
-	if err := ix.Search(full, geom.Intersects, func(uint32) bool { return true }); err != nil {
+	if _, err := searchIDs(ix, full, geom.Intersects); err != nil {
 		t.Fatal(err)
 	}
 	child := ix.clusters[1]
@@ -280,8 +247,7 @@ func TestLazyDecayEquivalence(t *testing.T) {
 		t.Fatalf("child q = %g, want 1", child.q)
 	}
 	// Three epochs pass without the child being explored or revisited
-	// (opened directly; BackgroundReorg-style, nothing drains).
-	ix.cfg.BackgroundReorg = true
+	// (opened directly; nothing drains).
 	for i := 0; i < 3; i++ {
 		ix.beginEpoch()
 	}
@@ -322,7 +288,7 @@ func TestSnapshotCarriesStatsAndContinuesWarm(t *testing.T) {
 		}
 	}
 	for _, q := range queries[:600] {
-		if err := ix.Search(q, geom.Intersects, func(uint32) bool { return true }); err != nil {
+		if _, err := searchIDs(ix, q, geom.Intersects); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -369,7 +335,7 @@ func TestSnapshotCarriesStatsAndContinuesWarm(t *testing.T) {
 	churn0, churnR0 := ix.Splits()+ix.Merges(), restored.Splits()+restored.Merges()
 	for _, q := range queries[600:] {
 		for _, e := range []*Index{ix, restored} {
-			if err := e.Search(q, geom.Intersects, func(uint32) bool { return true }); err != nil {
+			if _, err := searchIDs(e, q, geom.Intersects); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -410,10 +376,10 @@ func TestSnapshotCarriesStatsAndContinuesWarm(t *testing.T) {
 	if cold.StatsWindow() != 0 {
 		t.Fatalf("cold restore window = %g, want 0", cold.StatsWindow())
 	}
-	if cold.ReorgPending() {
+	if cold.ReorgBacklog() > 0 {
 		t.Fatal("cold restore must not queue revisits (zero probabilities degenerate the merge benefit)")
 	}
-	if !restored.ReorgPending() && restored.ReorgRounds() == 0 {
+	if restored.ReorgBacklog() == 0 && restored.ReorgRounds() == 0 {
 		// The warm restore rebuilt its queue deterministically; by now
 		// it has been drained by the continued stream.
 		t.Log("warm restore queue already drained (expected)")
@@ -427,7 +393,7 @@ func TestRestoreRejectsInvalidStats(t *testing.T) {
 	base := func() []ClusterSnapshot {
 		ix := twoClusterIndex(t, 4, 4)
 		full := geom.Rect{Min: []float32{0, 0}, Max: []float32{1, 1}}
-		if err := ix.Search(full, geom.Intersects, func(uint32) bool { return true }); err != nil {
+		if _, err := searchIDs(ix, full, geom.Intersects); err != nil {
 			t.Fatal(err)
 		}
 		return ix.Snapshot()

@@ -30,7 +30,7 @@ func TestCandidateStatsMatchReference(t *testing.T) {
 		}
 		for round := 0; round < 4; round++ {
 			for i := 0; i < 100; i++ {
-				if _, err := ix.Count(randomRect(rng, dims, 0.05), geom.Intersects); err != nil {
+				if _, err := searchIDs(ix, randomRect(rng, dims, 0.05), geom.Intersects); err != nil {
 					t.Fatal(err)
 				}
 			}

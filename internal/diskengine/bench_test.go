@@ -26,7 +26,7 @@ func benchCheckpoint(b *testing.B, dims, n int) (*vdisk.Disk, []geom.Rect) {
 		}
 	}
 	for i := 0; i < 400; i++ {
-		if err := ix.Search(benchRect(rng, dims, 0.1), geom.Intersects, func(uint32) bool { return true }); err != nil {
+		if _, err := coreIDs(ix, benchRect(rng, dims, 0.1), geom.Intersects); err != nil {
 			b.Fatal(err)
 		}
 	}

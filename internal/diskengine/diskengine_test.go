@@ -23,6 +23,16 @@ func randomRect(rng *rand.Rand, dims int, maxSize float32) geom.Rect {
 	return r
 }
 
+// coreIDs runs one query on the in-memory index the way a single owner does
+// — the read phase, then DrainStats, which applies the query's statistics
+// record and takes one budgeted reorganization step — and returns its
+// answer.
+func coreIDs(ix *core.Index, q geom.Rect, rel geom.Relation) ([]uint32, error) {
+	ids, err := ix.SearchIDsAppendRead(nil, q, rel)
+	ix.DrainStats()
+	return ids, err
+}
+
 // buildCheckpoint creates a clustered index, checkpoints it onto a virtual
 // disk and returns both. The clustering runs under the memory cost model:
 // at these test scales the disk model's 15 ms seek keeps everything in one
@@ -41,8 +51,7 @@ func buildCheckpoint(t *testing.T, dims, n int) (*core.Index, *vdisk.Disk) {
 		}
 	}
 	for i := 0; i < 400; i++ {
-		q := randomRect(rng, dims, 0.1)
-		if err := ix.Search(q, geom.Intersects, func(uint32) bool { return true }); err != nil {
+		if _, err := coreIDs(ix, randomRect(rng, dims, 0.1), geom.Intersects); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -98,7 +107,7 @@ func TestAnswersMatchInMemoryIndex(t *testing.T) {
 			for qi := 0; qi < 60; qi++ {
 				q := randomRect(rng, 5, 0.4)
 				rel := geom.Relation(qi % 3)
-				want, err := ix.SearchIDs(q, rel)
+				want, err := coreIDs(ix, q, rel)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -459,7 +468,7 @@ func TestConcurrentSearchEvictionStress(t *testing.T) {
 	want := make([][]uint32, len(queries))
 	for i := range queries {
 		queries[i] = randomRect(rng, 4, 0.3)
-		ids, err := ix.SearchIDs(queries[i], geom.Intersects)
+		ids, err := coreIDs(ix, queries[i], geom.Intersects)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -520,7 +529,7 @@ func TestConcurrentSearch(t *testing.T) {
 	want := make([][]uint32, len(queries))
 	for i := range queries {
 		queries[i] = randomRect(rng, 4, 0.3)
-		ids, err := ix.SearchIDs(queries[i], geom.Intersects)
+		ids, err := coreIDs(ix, queries[i], geom.Intersects)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -40,6 +40,15 @@ type coreEngine struct{ *core.Index }
 
 func (e coreEngine) Partitions() int { return e.Clusters() }
 
+// Search runs the query's read phase and then applies its statistics record
+// with one budgeted reorganization step: the serial cadence of a
+// single-owner index.
+func (e coreEngine) Search(q geom.Rect, rel geom.Relation, emit func(id uint32) bool) error {
+	err := e.SearchRead(q, rel, emit)
+	e.DrainStats()
+	return err
+}
+
 type seqscanEngine struct{ *seqscan.Store }
 
 func (e seqscanEngine) Partitions() int { return 1 }

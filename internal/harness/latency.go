@@ -64,12 +64,13 @@ func runChurnStream(o Options, reorgEvery, queries int, unbounded bool) (*core.I
 	}
 	q := geom.NewRect(o.Dims)
 	lat := make([]time.Duration, 0, queries)
+	e := coreEngine{ix}
 	ix.ResetMeter()
 	start := time.Now()
 	for i := 0; i < queries; i++ {
 		latencyQuery(q, i, reorgEvery)
 		qStart := time.Now()
-		if err := ix.Search(q, geom.Intersects, func(uint32) bool { return true }); err != nil {
+		if err := e.Search(q, geom.Intersects, func(uint32) bool { return true }); err != nil {
 			return nil, nil, 0, err
 		}
 		lat = append(lat, time.Since(qStart))

@@ -313,7 +313,7 @@ func (ix *Index) Get(id uint32) (geom.Rect, bool) {
 	return geom.FromFlat(l.c.data, int(l.pos), ix.cfg.Dims), true
 }
 
-// Search mirrors core.Index.Search with region-based pruning.
+// Search mirrors core.Index.SearchRead with region-based pruning.
 func (ix *Index) Search(q geom.Rect, rel geom.Relation, emit func(id uint32) bool) error {
 	if q.Dims() != ix.cfg.Dims {
 		return fmt.Errorf("mbbclust: query has %d dims, index has %d", q.Dims(), ix.cfg.Dims)

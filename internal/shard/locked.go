@@ -19,90 +19,21 @@ import (
 //     the lock exclusively only when it is free and blocks only once the
 //     backlog reaches core.StatsBacklogMax.
 //   - Mutations, Reorganize and Exclusive hold the lock exclusively.
-//   - Under Core.BackgroundReorg a drainer goroutine owns maintenance:
-//     publication wakes it whenever it leaves reorganization work or an
-//     unapplied backlog behind, and it runs one budgeted core.ReorgStep
-//     per lock acquisition until the queue is empty. Close stops it.
 //
 // Every read path is its own method with RLock and RUnlock in its body, so
 // the lockdiscipline analyzer sees each shared-lock region.
 type Locked struct {
 	mu sync.RWMutex
 	ix *core.Index
-
-	// Background drainer (Core.BackgroundReorg); all nil otherwise.
-	wake      chan struct{} // publication → drainer, buffered 1
-	done      chan struct{} // closed by Close
-	stopped   chan struct{} // closed when the drainer exits
-	closeOnce sync.Once
 }
 
-// NewLocked puts ix behind a lock, starting its drainer goroutine when ix
-// was configured with BackgroundReorg.
-func NewLocked(ix *core.Index) *Locked {
-	l := &Locked{ix: ix}
-	if ix.Config().BackgroundReorg {
-		l.wake = make(chan struct{}, 1)
-		l.done = make(chan struct{})
-		l.stopped = make(chan struct{})
-		go l.reorgLoop()
-	}
-	return l
-}
-
-// Close stops the drainer goroutine and waits for it to exit (a no-op
-// without BackgroundReorg). It is idempotent and safe to call concurrently;
-// the index stays usable, and reorganization work left queued is picked up
-// by a later Reorganize.
-func (l *Locked) Close() {
-	l.closeOnce.Do(func() {
-		if l.done != nil {
-			close(l.done)
-			<-l.stopped
-		}
-	})
-}
-
-// reorgLoop drains pending reorganization work one budgeted step per lock
-// acquisition, so in-flight queries interleave with maintenance instead of
-// stalling behind a full pass.
-func (l *Locked) reorgLoop() {
-	defer close(l.stopped)
-	for {
-		select {
-		case <-l.done:
-			return
-		case <-l.wake:
-		}
-		for {
-			l.mu.Lock()
-			more := l.ix.ReorgStep()
-			l.mu.Unlock()
-			if !more {
-				break
-			}
-			select {
-			case <-l.done:
-				return
-			default:
-			}
-		}
-	}
-}
+// NewLocked puts ix behind a lock.
+func NewLocked(ix *core.Index) *Locked { return &Locked{ix: ix} }
 
 // publish is a read's publication phase, run after RUnlock: apply the queued
-// statistics records if the lock is free (core.TryDrainStats), and wake the
-// drainer when maintenance is left pending. A record left behind is applied
-// by the next exclusive holder, whoever that is.
-func (l *Locked) publish() {
-	pending := l.ix.TryDrainStats(&l.mu)
-	if l.wake != nil && (pending || l.ix.StatsBacklog() > 0) {
-		select {
-		case l.wake <- struct{}{}: // a pending wake-up already covers new work
-		default:
-		}
-	}
-}
+// statistics records if the lock is free (core.TryDrainStats). A record left
+// behind is applied by the next exclusive holder, whoever that is.
+func (l *Locked) publish() { l.ix.TryDrainStats(&l.mu) }
 
 // Get returns the rectangle stored under id.
 func (l *Locked) Get(id uint32) (geom.Rect, bool) {

@@ -166,8 +166,7 @@ func Wrap(cfg Config, ixs []*core.Index) (*Engine, error) {
 	return newEngine(cfg, ixs), nil
 }
 
-// newEngine puts every shard index behind its lock, which starts the
-// shard's drainer under Core.BackgroundReorg.
+// newEngine puts every shard index behind its lock.
 func newEngine(cfg Config, ixs []*core.Index) *Engine {
 	shift := uint(32)
 	for k := 1; k < len(ixs); k <<= 1 {
@@ -178,16 +177,6 @@ func newEngine(cfg Config, ixs []*core.Index) *Engine {
 		e.shards[i] = NewLocked(ix)
 	}
 	return e
-}
-
-// Close stops the shards' background reorganization goroutines (no-op
-// unless Core.BackgroundReorg). It is idempotent and safe to call
-// concurrently; the engine stays usable afterwards.
-func (e *Engine) Close() error {
-	for _, s := range e.shards {
-		s.Close()
-	}
-	return nil
 }
 
 // Config returns the effective configuration (defaults applied).

@@ -31,10 +31,7 @@ func TestPropertyRoundTrip(t *testing.T) {
 			ix.Delete(uint32(rng.Intn(n)))
 		}
 		for i := 0; i < rng.Intn(150); i++ {
-			q := randomRect(rng, dims, 0.3)
-			if err := ix.Search(q, geom.Intersects, func(uint32) bool { return true }); err != nil {
-				return false
-			}
+			queryIDs(t, ix, randomRect(rng, dims, 0.3), geom.Intersects)
 		}
 		dev := NewMemDevice()
 		if err := Save(ix, dev); err != nil {
@@ -56,10 +53,9 @@ func TestPropertyRoundTrip(t *testing.T) {
 		for i := 0; i < 15; i++ {
 			q := randomRect(rng, dims, 0.5)
 			rel := geom.Relation(i % 3)
-			a, err1 := ix.Count(q, rel)
-			b, err2 := back.Count(q, rel)
-			if err1 != nil || err2 != nil || a != b {
-				t.Logf("query %d: %d vs %d (%v %v)", i, a, b, err1, err2)
+			a, b := queryIDs(t, ix, q, rel), queryIDs(t, back, q, rel)
+			if len(a) != len(b) {
+				t.Logf("query %d: %d vs %d ids", i, len(a), len(b))
 				return false
 			}
 		}

@@ -36,9 +36,7 @@ func buildQueried(t *testing.T) *core.Index {
 	for i := 0; i < 300; i++ {
 		base := rng.Float32() * 0.1
 		q := geom.Rect{Min: []float32{base, base, base}, Max: []float32{base + 0.1, base + 0.1, base + 0.1}}
-		if err := ix.Search(q, geom.Intersects, func(uint32) bool { return true }); err != nil {
-			t.Fatal(err)
-		}
+		queryIDs(t, ix, q, geom.Intersects)
 	}
 	if ix.Clusters() < 2 {
 		t.Fatal("workload did not materialize clusters")

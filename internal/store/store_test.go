@@ -34,17 +34,18 @@ func buildIndex(t *testing.T, dims, n int) *core.Index {
 		}
 	}
 	for i := 0; i < 200; i++ {
-		q := randomRect(rng, dims, 0.2)
-		if err := ix.Search(q, geom.Intersects, func(uint32) bool { return true }); err != nil {
-			t.Fatal(err)
-		}
+		queryIDs(t, ix, randomRect(rng, dims, 0.2), geom.Intersects)
 	}
 	return ix
 }
 
+// queryIDs runs one query the way a single owner does — the read phase,
+// then DrainStats, which applies the query's statistics record and takes one
+// budgeted reorganization step — and returns its answer sorted.
 func queryIDs(t *testing.T, ix *core.Index, q geom.Rect, rel geom.Relation) []uint32 {
 	t.Helper()
-	ids, err := ix.SearchIDs(q, rel)
+	ids, err := ix.SearchIDsAppendRead(nil, q, rel)
+	ix.DrainStats()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 package accluster
 
 // Tail-latency regression tests for the incremental budgeted reorganization
-// scheduler, plus race stress for the background drainer goroutines.
+// scheduler, plus race stress for the steps publication drives.
 
 import (
 	"math/rand"
@@ -102,13 +102,13 @@ func TestReorgLatencySmoothing(t *testing.T) {
 	}
 }
 
-// TestBackgroundReorgStress hammers background-reorg indexes from many
-// goroutines; run under -race it checks the drainer's locking discipline,
-// and the final invariant checks prove maintenance never corrupts the
-// structures it rebuilds.
-func TestBackgroundReorgStress(t *testing.T) {
+// TestReorgStress hammers reorganizing indexes from many goroutines; run
+// under -race it checks the locking discipline of publication and the
+// budgeted steps it drives, and the final invariant checks prove
+// maintenance never corrupts the structures it rebuilds.
+func TestReorgStress(t *testing.T) {
 	t.Run("adaptive", func(t *testing.T) {
-		ix, err := NewAdaptive(4, WithReorgEvery(20), WithBackgroundReorg(), WithReorgBudget(8, 512))
+		ix, err := NewAdaptive(4, WithReorgEvery(20), WithReorgBudget(8, 512))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,13 +117,13 @@ func TestBackgroundReorgStress(t *testing.T) {
 		if err := ix.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
-		ix.Reorganize() // drain whatever Close left pending
+		ix.Reorganize() // drain whatever the stream left pending
 		if err := ix.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
 	})
 	t.Run("sharded", func(t *testing.T) {
-		ix, err := NewSharded(4, WithShards(4), WithReorgEvery(20), WithBackgroundReorg(), WithReorgBudget(8, 512))
+		ix, err := NewSharded(4, WithShards(4), WithReorgEvery(20), WithReorgBudget(8, 512))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,8 +139,8 @@ func TestBackgroundReorgStress(t *testing.T) {
 	})
 }
 
-// stressEngine runs concurrent searches, counts, inserts and deletes against
-// ix while its background drainers work.
+// stressEngine runs concurrent searches, inserts and deletes against ix
+// while its reorganization steps run between them.
 func stressEngine(t *testing.T, ix interface {
 	Index
 	Reorganize()

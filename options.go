@@ -26,21 +26,19 @@ func DiskScenario() Scenario { return cost.Disk() }
 // options collects the tunables of all index constructors; each constructor
 // reads the fields relevant to it.
 type options struct {
-	scenario        cost.Params
-	divisionFactor  int
-	reorgEvery      int
-	decay           float64
-	reorgClusters   int
-	reorgObjects    int
-	backgroundReorg bool
-	pageSize        int
-	shards          int
-	fanout          int
-	salvage         bool
-	diskCache       int64
-	diskCacheSet    bool
-	readaheadGap    int64
-	readaheadSet    bool
+	scenario       cost.Params
+	divisionFactor int
+	reorgEvery     int
+	decay          float64
+	reorgClusters  int
+	reorgObjects   int
+	pageSize       int
+	shards         int
+	salvage        bool
+	diskCache      int64
+	diskCacheSet   bool
+	readaheadGap   int64
+	readaheadSet   bool
 
 	telemetry         *Telemetry
 	telemetryAddr     string
@@ -140,16 +138,6 @@ func WithReorgBudget(clusters, objects int) Option {
 // Unbudgeted disables one bound of WithReorgBudget.
 const Unbudgeted = -1
 
-// WithBackgroundReorg moves reorganization work off the query path entirely:
-// queries only schedule revisits, and a background goroutine (one per shard
-// for NewSharded) drains them, taking the engine lock exclusively once per
-// bounded step — concurrent searches interleave between steps. The drainer
-// also applies any backlog of deferred statistics publications. Indexes
-// built with this option own a goroutine — call Close when done.
-func WithBackgroundReorg() Option {
-	return func(o *options) { o.backgroundReorg = true }
-}
-
 // WithPageSize sets the R*-tree node page size in bytes (default 16384).
 func WithPageSize(bytes int) Option {
 	return func(o *options) { o.pageSize = bytes }
@@ -167,12 +155,6 @@ func WithShards(n int) Option {
 		}
 		o.shards = n
 	}
-}
-
-// WithFanout bounds the worker pool used to fan a query out across shards
-// (default min(shards, GOMAXPROCS)).
-func WithFanout(workers int) Option {
-	return func(o *options) { o.fanout = workers }
 }
 
 // WithSalvage lets OpenSharded degrade instead of fail when a checkpoint is

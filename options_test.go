@@ -12,7 +12,6 @@ func TestOptionsApplied(t *testing.T) {
 		WithReorgEvery(42),
 		WithDecay(0.75),
 		WithReorgBudget(32, 2048),
-		WithBackgroundReorg(),
 		WithPageSize(8192),
 	})
 	if err != nil {
@@ -24,7 +23,7 @@ func TestOptionsApplied(t *testing.T) {
 	if o.divisionFactor != 6 || o.reorgEvery != 42 || o.decay != 0.75 {
 		t.Errorf("adaptive options: %+v", o)
 	}
-	if o.reorgClusters != 32 || o.reorgObjects != 2048 || !o.backgroundReorg {
+	if o.reorgClusters != 32 || o.reorgObjects != 2048 {
 		t.Errorf("reorg options: %+v", o)
 	}
 	if o.pageSize != 8192 {

@@ -80,7 +80,6 @@ func OpenSharded(dir string, opts ...Option) (*Sharded, error) {
 		return nil, err
 	}
 	e, err := shard.LoadDir(dir, shard.Config{
-		Workers: o.fanout,
 		Salvage: o.salvage,
 		Core:    coreConfig(0, o),
 	})

@@ -22,19 +22,17 @@ type Sharded struct {
 
 // NewSharded builds a sharded adaptive index for the given dimensionality.
 // The shard count defaults to the next power of two ≥ GOMAXPROCS; see
-// WithShards and WithFanout to tune, plus the Adaptive options (scenario,
-// division factor, reorganization budget, …), which apply to every shard.
-// With WithBackgroundReorg every shard owns a drainer goroutine that takes
-// the shard lock only per bounded reorganization step; call Close when done.
+// WithShards to tune, plus the Adaptive options (scenario, division factor,
+// reorganization budget, …), which apply to every shard. The fan-out runs
+// on min(shards, GOMAXPROCS) workers.
 func NewSharded(dims int, opts ...Option) (*Sharded, error) {
 	o, err := gatherOptions(opts)
 	if err != nil {
 		return nil, err
 	}
 	e, err := shard.New(shard.Config{
-		Shards:  o.shards,
-		Workers: o.fanout,
-		Core:    coreConfig(dims, o),
+		Shards: o.shards,
+		Core:   coreConfig(dims, o),
 	})
 	if err != nil {
 		return nil, err
@@ -52,14 +50,13 @@ func newSharded(e *shard.Engine, o options) (*Sharded, error) {
 	return s, nil
 }
 
-// Close stops the per-shard background reorganization goroutines (no-op
-// without WithBackgroundReorg) and, when the engine owns its flight recorder
-// (WithTelemetryAddr), the telemetry sampler and endpoint. It is idempotent
-// and safe to call concurrently. The index stays usable afterwards.
+// Close stops the telemetry sampler and endpoint when the engine owns its
+// flight recorder (WithTelemetryAddr); otherwise it does nothing. It is
+// idempotent and safe to call concurrently, and the index stays usable
+// afterwards.
 func (s *Sharded) Close() error {
-	err := s.e.Close()
 	s.closeTelemetry()
-	return err
+	return nil
 }
 
 // Insert adds an object to its owning shard (placed into the matching

@@ -262,7 +262,7 @@ func TestTelemetrySamplerVsMutations(t *testing.T) {
 	}
 	defer tel.Close()
 	const dims = 3
-	a, err := NewAdaptive(dims, WithTelemetry(tel), WithReorgEvery(5), WithBackgroundReorg())
+	a, err := NewAdaptive(dims, WithTelemetry(tel), WithReorgEvery(5))
 	if err != nil {
 		t.Fatal(err)
 	}
