@@ -134,9 +134,9 @@ type Adaptive struct {
 }
 
 // NewAdaptive builds an adaptive clustering index for the given
-// dimensionality. By default it uses the in-memory cost scenario, division
-// factor 4, reorganization every 100 queries (incremental, budgeted — see
-// WithReorgBudget) and statistics decay 0.5; see the Option values to tune.
+// dimensionality. It uses the paper's division factor 4 and statistics
+// decay 0.5; by default it runs the in-memory cost scenario (WithScenario)
+// and reorganizes every 100 queries (WithReorgEvery) in budgeted steps.
 func NewAdaptive(dims int, opts ...Option) (*Adaptive, error) {
 	o, err := gatherOptions(opts)
 	if err != nil {
@@ -152,13 +152,9 @@ func NewAdaptive(dims int, opts ...Option) (*Adaptive, error) {
 // coreConfig maps the gathered options onto a core engine configuration.
 func coreConfig(dims int, o options) core.Config {
 	return core.Config{
-		Dims:                dims,
-		Params:              o.scenario,
-		DivisionFactor:      o.divisionFactor,
-		ReorgEvery:          o.reorgEvery,
-		Decay:               o.decay,
-		ReorgBudgetClusters: o.reorgClusters,
-		ReorgBudgetObjects:  o.reorgObjects,
+		Dims:       dims,
+		Params:     o.scenario,
+		ReorgEvery: o.reorgEvery,
 	}
 }
 
@@ -337,15 +333,10 @@ type RStar struct {
 	t *rstar.Tree
 }
 
-// NewRStar builds an R*-tree with 16 KB pages by default (WithPageSize sets
-// them). Minimum fill and the forced-reinsert fraction are the R*-tree
-// paper's 0.4 and 0.3.
-func NewRStar(dims int, opts ...Option) (*RStar, error) {
-	o, err := gatherOptions(opts)
-	if err != nil {
-		return nil, err
-	}
-	t, err := rstar.New(rstar.Config{Dims: dims, PageSize: o.pageSize})
+// NewRStar builds an R*-tree with 16 KB pages. Minimum fill and the
+// forced-reinsert fraction are the R*-tree paper's 0.4 and 0.3.
+func NewRStar(dims int) (*RStar, error) {
+	t, err := rstar.New(rstar.Config{Dims: dims})
 	if err != nil {
 		return nil, err
 	}

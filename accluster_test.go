@@ -31,7 +31,7 @@ func allIndexes(t *testing.T, dims int) map[string]Index {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := NewRStar(dims, WithPageSize(2048))
+	rs, err := NewRStar(dims)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,9 +69,6 @@ func TestConstructorErrors(t *testing.T) {
 	}
 	if _, err := NewRStar(0); err == nil {
 		t.Error("NewRStar(0) must fail")
-	}
-	if _, err := NewAdaptive(2, WithDivisionFactor(1)); err == nil {
-		t.Error("bad division factor must fail")
 	}
 	// A cost that is NaN, infinite or negative fails every benefit test,
 	// so an index built on it would never cluster: every constructor
@@ -210,7 +207,7 @@ func TestStatsAndModeledTime(t *testing.T) {
 }
 
 func TestAdaptiveExtras(t *testing.T) {
-	ac, _ := NewAdaptive(3, WithScenario(DiskScenario()), WithDecay(0.7), WithReorgEvery(10))
+	ac, _ := NewAdaptive(3, WithScenario(DiskScenario()), WithReorgEvery(10))
 	rng := rand.New(rand.NewSource(5))
 	for id := uint32(0); id < 2000; id++ {
 		if err := ac.Insert(id, randomRect(rng, 3, 0.05)); err != nil {
@@ -239,9 +236,10 @@ func TestAdaptiveExtras(t *testing.T) {
 }
 
 func TestRStarExtras(t *testing.T) {
-	rs, _ := NewRStar(2, WithPageSize(512))
+	rs, _ := NewRStar(2)
 	rng := rand.New(rand.NewSource(8))
-	for id := uint32(0); id < 500; id++ {
+	// 2000 objects overflow one 16 KB page of 2-d entries (819 per node).
+	for id := uint32(0); id < 2000; id++ {
 		if err := rs.Insert(id, randomRect(rng, 2, 0.1)); err != nil {
 			t.Fatal(err)
 		}

@@ -40,8 +40,8 @@ func main() {
 		exps    = flag.String("exp", "fig7", "experiments to run: comma-separated list or 'all' ("+strings.Join(harness.Experiments(), ", ")+")")
 		objects = flag.Int("n", 100000, "number of database objects")
 		dims    = flag.Int("dims", 16, "space dimensionality (selectivity experiments)")
-		queries = flag.Int("queries", 200, "measured queries per experiment point")
-		warmup  = flag.Int("warmup", 1000, "warm-up queries before measuring (clustering convergence)")
+		queries = flag.Int("queries", 200, "measured queries per experiment point, rounded up to whole -reorg periods")
+		warmup  = flag.Int("warmup", 1000, "warm-up queries before measuring (clustering convergence), rounded up to whole -reorg periods")
 		reorg   = flag.Int("reorg", 100, "queries between reorganization rounds")
 		seed    = flag.Int64("seed", 1, "workload seed")
 		maxSize = flag.Float64("maxsize", 1, "maximum object interval size per dimension")

@@ -28,8 +28,10 @@
 // the given address; -netqueue, -policy (dropoldest, dropnewest,
 // disconnect), -maxconns and -drain tune the per-connection delivery
 // queues, slow-consumer policy, connection limit and shutdown drain
-// deadline. SIGINT/SIGTERM (and quit) drain gracefully: queued deliveries
-// are flushed up to the drain deadline before the process exits.
+// deadline. -queue is rejected with -listen: the connections queue their
+// deliveries themselves, so the broker delivers synchronously.
+// SIGINT/SIGTERM (and quit) drain gracefully: queued deliveries are flushed
+// up to the drain deadline before the process exits.
 //
 // With -connect, the same commands run against a remote sdid -listen
 // instance: sub registers a standing subscription whose matches stream
@@ -279,8 +281,8 @@ func main() {
 	drain := flag.Duration("drain", 0, "shutdown drain deadline for -listen (0 = default)")
 	flag.Parse()
 
-	if *listen != "" && *connect != "" {
-		fmt.Fprintln(os.Stderr, "sdid: -listen and -connect are mutually exclusive")
+	if err := checkFlags(*listen, *connect, *queue); err != nil {
+		fmt.Fprintf(os.Stderr, "sdid: %v\n", err)
 		os.Exit(1)
 	}
 
@@ -380,6 +382,20 @@ func main() {
 		fmt.Fprintf(os.Stderr, "sdid: %v\n", replErr)
 		os.Exit(1)
 	}
+}
+
+// checkFlags rejects flag combinations that contradict each other. -queue
+// with -listen would put per-subscriber broker queues in front of the
+// server's per-connection queues, while netbroker.Serve needs a broker that
+// delivers synchronously.
+func checkFlags(listen, connect string, queue int) error {
+	if listen != "" && connect != "" {
+		return fmt.Errorf("-listen and -connect are mutually exclusive")
+	}
+	if listen != "" && queue > 0 {
+		return fmt.Errorf("-queue and -listen are mutually exclusive: -listen connections have their own queues (-netqueue)")
+	}
+	return nil
 }
 
 // runConnect drives the REPL against a remote broker; SIGINT/SIGTERM (or

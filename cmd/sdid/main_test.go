@@ -48,6 +48,25 @@ func TestParseRanges(t *testing.T) {
 	}
 }
 
+func TestCheckFlags(t *testing.T) {
+	for _, tc := range []struct {
+		listen, connect string
+		queue           int
+		ok              bool
+	}{
+		{"", "", 0, true},
+		{"", "", 8, true},
+		{"127.0.0.1:7070", "", 0, true},
+		{"", "127.0.0.1:7070", 0, true},
+		{"127.0.0.1:7070", "127.0.0.1:7071", 0, false},
+		{"127.0.0.1:7070", "", 8, false},
+	} {
+		if err := checkFlags(tc.listen, tc.connect, tc.queue); (err == nil) != tc.ok {
+			t.Errorf("checkFlags(%q, %q, %d) = %v, want ok=%v", tc.listen, tc.connect, tc.queue, err, tc.ok)
+		}
+	}
+}
+
 // TestREPLLocalAndRemote drives the same script through a local session
 // serving over netbroker and through a remote session connected to it.
 func TestREPLLocalAndRemote(t *testing.T) {

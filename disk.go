@@ -16,10 +16,10 @@ import (
 // (WithDiskCache): explorations whose region is resident verify in memory
 // and charge no Seeks and no BytesTransferred (CacheHits/CacheMisses in
 // Stats record the split), while missed regions are fetched with
-// seek-coalescing readahead (WithReadahead) — adjacent and near-adjacent
-// regions merge into single sequential reads. Each Disk owns its cache, so
-// a Disk opened after a new SaveFile starts with an empty one and never sees
-// stale regions.
+// seek-coalescing readahead — regions one query explores that lie within
+// 256 KiB of each other on disk merge into single sequential reads. Each
+// Disk owns its cache, so a Disk opened after a new SaveFile starts with an
+// empty one and never sees stale regions.
 //
 // Disk is safe for concurrent use. It reflects the checkpoint at open time;
 // mutations to the live index become visible by checkpointing again and
@@ -32,8 +32,8 @@ type Disk struct {
 
 // OpenDisk opens a database file written by SaveFile for direct
 // disk-scenario querying. The file is opened read-only and a missing path is
-// an error. WithDiskCache and WithReadahead tune the query path; the other
-// options are ignored.
+// an error. WithDiskCache sizes the region cache and the telemetry options
+// attach a flight recorder; the other options are ignored.
 func OpenDisk(path string, opts ...Option) (*Disk, error) {
 	o, err := gatherOptions(opts)
 	if err != nil {
@@ -48,12 +48,6 @@ func OpenDisk(path string, opts ...Option) (*Disk, error) {
 		cfg.CacheBytes = o.diskCache
 		if o.diskCache == 0 {
 			cfg.CacheBytes = -1 // explicit “no cache”
-		}
-	}
-	if o.readaheadSet {
-		cfg.ReadaheadGap = o.readaheadGap
-		if o.readaheadGap == 0 {
-			cfg.ReadaheadGap = -1 // explicit “no coalescing”
 		}
 	}
 	eng, err := diskengine.OpenConfig(dev, cfg)

@@ -50,7 +50,7 @@ func buildDiskCheckpoint(t *testing.T, dims, n int) (*Adaptive, string) {
 
 func TestOpenDiskMatchesAdaptive(t *testing.T) {
 	ix, path := buildDiskCheckpoint(t, 5, 4000)
-	d, err := OpenDisk(path, WithDiskCache(8<<20), WithReadahead(128<<10))
+	d, err := OpenDisk(path, WithDiskCache(8<<20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestOpenDiskMatchesAdaptive(t *testing.T) {
 
 func TestOpenDiskNoCacheOption(t *testing.T) {
 	_, path := buildDiskCheckpoint(t, 3, 1500)
-	d, err := OpenDisk(path, WithDiskCache(0), WithReadahead(0))
+	d, err := OpenDisk(path, WithDiskCache(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,10 +122,6 @@ func TestOpenDiskNoCacheOption(t *testing.T) {
 	if st.CacheHits != 0 || st.CacheMisses != 0 {
 		t.Fatalf("disabled cache must not count hits/misses: %+v", st)
 	}
-	// Without coalescing every exploration is its own seek.
-	if st.Seeks != st.PartitionsExplored {
-		t.Fatalf("readahead disabled: seeks %d != explorations %d", st.Seeks, st.PartitionsExplored)
-	}
 	if cs := d.CacheStats(); cs.BudgetBytes != 0 || cs.Entries != 0 {
 		t.Fatalf("cache must be off: %+v", cs)
 	}
@@ -135,9 +131,6 @@ func TestOpenDiskRejectsInvalidOptions(t *testing.T) {
 	_, path := buildDiskCheckpoint(t, 3, 500)
 	if _, err := OpenDisk(path, WithDiskCache(-1)); err == nil {
 		t.Error("negative cache budget accepted")
-	}
-	if _, err := OpenDisk(path, WithReadahead(-1)); err == nil {
-		t.Error("negative readahead accepted")
 	}
 	if _, err := OpenDisk(filepath.Join(t.TempDir(), "absent.acdb")); err == nil {
 		t.Error("opening an absent checkpoint must fail")

@@ -33,24 +33,24 @@
 //
 // The adaptive index pays for cheap queries with periodic reorganization:
 // every WithReorgEvery queries (default 100) a reorganization epoch begins,
-// aging the query statistics by WithDecay and queueing every materialized
-// cluster for a cost-model revisit — merge into the parent when profitable,
-// otherwise materialize profitable candidate subclusters (§3.4). The queue
-// is ordered by each cluster's last observed benefit and drained
-// incrementally: by default each query runs one bounded step
-// (WithReorgBudget, default 32 cluster revisits and 128 object relocations;
-// merges and materializations are chunked, so the relocation bound caps
-// every step outright). The worst query therefore carries a bounded slice
-// of maintenance instead of a stop-the-world full pass — pass Unbudgeted
-// budgets to restore the synchronous behaviour.
+// aging the query statistics by the decay factor 0.5 and queueing every
+// materialized cluster for a cost-model revisit — merge into the parent when
+// profitable, otherwise materialize profitable candidate subclusters (§3.4;
+// the clustering function's division factor is the paper's f = 4). The
+// queue is ordered by each cluster's last observed benefit and drained
+// incrementally: each query runs one bounded step of at most 32 cluster
+// revisits and 128 object relocations (merges and materializations are
+// chunked, so the relocation bound caps every step outright). The worst
+// query therefore carries a bounded slice of maintenance instead of a
+// stop-the-world full pass.
 //
-// Statistics aging is equivalent under either schedule: the window decays
+// Statistics aging matches the synchronous full pass: the window decays
 // eagerly once per epoch and per-cluster indicators decay lazily by
-// Decay^(elapsed epochs) when next touched, so every access probability a
-// reorganization decision reads matches what the synchronous full pass
-// would have used; only the position of the merge/split work in the query
-// stream moves. Reorganize still forces a full round synchronously, the
-// convergence hook after bulk loading and in calibration.
+// 0.5^(elapsed epochs) when next touched, so every access probability a
+// reorganization decision reads is the value the full pass would have
+// used; only the position of the merge/split work in the query stream
+// moves. Reorganize forces a full round synchronously, the convergence hook
+// after bulk loading and in calibration.
 //
 // # Concurrency
 //
@@ -78,7 +78,7 @@
 // reader/writer lock, which runs the read phases under the shared lock,
 // publishes after RUnlock, and takes the lock exclusively for mutations,
 // saves and invariant checks. NewAdaptive holds one, every shard of
-// NewSharded is one, and the pub/sub broker runs on the sharded engine.
+// NewSharded is one, and so does the pub/sub broker.
 // Close is idempotent and safe to call concurrently on every engine.
 //
 // NewSharded remains the multi-core engine of choice for mixed workloads:
@@ -167,9 +167,9 @@
 // while concurrent searches verify against them): a cache hit verifies in
 // memory and charges no Seeks and no BytesTransferred (Stats.CacheHits and
 // Stats.CacheMisses record the split; ObjectsVerified accrues either way),
-// while missed regions are fetched with seek-coalescing readahead
-// (WithReadahead, default 256 KiB) — regions adjacent or near-adjacent on
-// the device merge into single sequential reads, one Seek each. A missed
+// while missed regions are fetched with seek-coalescing readahead — regions
+// within 256 KiB of each other on the device merge into single sequential
+// reads, one Seek each. A missed
 // region is transposed from the device's row-major records into columns by
 // the CPUID-selected kernel (AVX2 8×8 tiles where the CPU has them, the
 // portable loop otherwise). Each Disk owns its cache, so a Disk opened

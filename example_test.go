@@ -63,7 +63,6 @@ func ExampleWithScenario() {
 	ix, err := accluster.NewAdaptive(16,
 		accluster.WithScenario(accluster.DiskScenario()),
 		accluster.WithReorgEvery(100),
-		accluster.WithDecay(0.5),
 	)
 	if err != nil {
 		log.Fatal(err)

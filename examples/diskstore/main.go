@@ -113,10 +113,9 @@ func main() {
 	// Disk storage scenario: query the checkpoint directly from the file.
 	// Only the header and directory are loaded; explored regions are read
 	// on demand into a fixed-budget cache of decoded columns, and regions
-	// adjacent on the device coalesce into single sequential reads.
-	dsk, err := accluster.OpenDisk(path,
-		accluster.WithDiskCache(8<<20),   // 8 MiB of decoded regions
-		accluster.WithReadahead(256<<10)) // bridge gaps up to 256 KiB
+	// within 256 KiB of each other on the device coalesce into single
+	// sequential reads.
+	dsk, err := accluster.OpenDisk(path, accluster.WithDiskCache(8<<20)) // 8 MiB of decoded regions
 	if err != nil {
 		log.Fatal(err)
 	}

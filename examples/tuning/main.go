@@ -1,17 +1,13 @@
 // Cost-model tuning and adaptivity: the same data clustered under the
 // in-memory and the disk scenario (the disk's 15 ms seek makes fine clusters
-// unprofitable, §5), adaptation to a query-distribution shift (clusters that
-// stop paying for themselves are merged back, §3.4), and the reorganization
-// scheduler knobs — budgeted incremental steps versus the synchronous full
-// pass.
+// unprofitable, §5), and adaptation to a query-distribution shift (clusters
+// that stop paying for themselves are merged back, §3.4).
 package main
 
 import (
 	"fmt"
 	"log"
 	"math/rand"
-	"sort"
-	"time"
 
 	"accluster"
 )
@@ -73,7 +69,7 @@ func main() {
 
 	// Part 2: adaptation to a query-distribution shift.
 	fmt.Println("\n=== adaptation to query distribution shift ===")
-	ix, err := accluster.NewAdaptive(dims, accluster.WithReorgEvery(100), accluster.WithDecay(0.3))
+	ix, err := accluster.NewAdaptive(dims, accluster.WithReorgEvery(100))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -106,45 +102,4 @@ func main() {
 	fmt.Printf("phase B (shifted queries): %d clusters, +%d splits, +%d merges\n",
 		ix.Clusters(), ix.Splits()-splitsA, ix.Merges()-mergesA)
 	fmt.Println("merges > 0 shows clusters from phase A being folded back (§3.4 merging operation)")
-
-	// Part 3: the reorganization scheduler. Reorganization normally rides
-	// the query path; the knobs decide how much of it one query may carry.
-	// WithReorgBudget(Unbudgeted, Unbudgeted) restores the synchronous
-	// full pass — every ReorgEvery-th query absorbs the whole merge/split
-	// round — while the default budgets chunk the same work into bounded
-	// steps, flattening the worst query at the same throughput.
-	fmt.Println("\n=== reorganization budgets flatten the latency tail ===")
-	for _, mode := range []struct {
-		name string
-		opts []accluster.Option
-	}{
-		{"synchronous", []accluster.Option{accluster.WithReorgBudget(accluster.Unbudgeted, accluster.Unbudgeted)}},
-		{"budgeted", nil},
-	} {
-		ix, err := accluster.NewAdaptive(dims, append([]accluster.Option{accluster.WithReorgEvery(100)}, mode.opts...)...)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := load(ix, n, 5); err != nil {
-			log.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(6))
-		q := accluster.NewRect(dims)
-		lat := make([]time.Duration, 0, 1500)
-		for i := 0; i < 1500; i++ {
-			// The hot corner shifts every reorganization period, so
-			// every round has real merge/split work to do.
-			corner(rng, q, float32((i/100)%4)*0.2)
-			start := time.Now()
-			if _, err := ix.Count(q, accluster.Intersects); err != nil {
-				log.Fatal(err)
-			}
-			lat = append(lat, time.Since(start))
-		}
-		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-		fmt.Printf("%-11s reorg: median %8v  p99 %8v  worst query %8v  (%d rounds)\n",
-			mode.name, lat[len(lat)/2].Round(time.Microsecond),
-			lat[len(lat)*99/100].Round(time.Microsecond),
-			lat[len(lat)-1].Round(time.Microsecond), ix.ReorgRounds())
-	}
 }

@@ -182,41 +182,46 @@ func (ix *Index) publish(bc *batchScratch) {
 // applyRecord applies one read phase's statistics record: Q of every
 // signature-matching cluster, q of every matched candidate and one window
 // tick per query, with a new epoch opened wherever the query count reaches
-// ReorgEvery. The record is walked cluster-major, one run at a time, where a
-// run is a stretch of queries no epoch boundary splits. Within a run the
-// order of the increments is immaterial — syncStats is idempotent inside an
-// epoch and each indicator only gains whole queries — so the walk leaves
-// exactly the state the queries applied one by one would, and a batch
-// equals its looped singles. Clusters merged away since the read ran are
-// skipped; their statistics died with them, as they would have had the
-// merge preceded the query.
+// ReorgEvery. A run is a stretch of queries no epoch boundary splits; run r
+// of the record falls in epoch ix.epoch+r. The record is walked once,
+// cluster-major: each entry first brings its cluster's statistics up to its
+// run's epoch (syncStatsTo), then adds its increments. A cluster's entries
+// are in query order, so every indicator sees the increments and decay
+// steps of the queries applied one by one, in the same order; opening the
+// epochs afterwards, run by run, reads no cluster statistics. The walk
+// therefore leaves exactly the looped queries' state, and a batch equals
+// its looped singles. Clusters merged away since the read ran are skipped;
+// their statistics died with them, as they would have had the merge
+// preceded the query.
 //
 //ac:excl
 func (ix *Index) applyRecord(bc *batchScratch) {
 	d := &bc.stats
 	qidx := bc.Match.QIdx
-	for q0 := 0; q0 < d.nq; {
-		q1 := min(d.nq, q0+ix.cfg.ReorgEvery-ix.sinceReorg)
-		var last *Cluster
-		for j, c := range d.clusters {
-			if qi := int(qidx[j]); qi < q0 || qi >= q1 || c.removed {
-				continue
-			}
-			if c != last {
-				ix.syncStats(c)
-				last = c
-			}
-			c.q++
-			cq := c.cands.q
-			for _, k := range d.cands[d.candOff[j]:d.candOff[j+1]] {
-				cq[k]++
-			}
+	every := ix.cfg.ReorgEvery
+	first := every - ix.sinceReorg // queries in the first run
+	for j, c := range d.clusters {
+		if c.removed {
+			continue
 		}
+		run := 0
+		if qi := int(qidx[j]); qi >= first {
+			run = 1 + (qi-first)/every
+		}
+		ix.syncStatsTo(c, ix.epoch+int64(run))
+		c.q++
+		cq := c.cands.q
+		for _, k := range d.cands[d.candOff[j]:d.candOff[j+1]] {
+			cq[k]++
+		}
+	}
+	for q0 := 0; q0 < d.nq; {
+		q1 := min(d.nq, q0+every-ix.sinceReorg)
 		for range q1 - q0 {
 			ix.window++
 		}
 		ix.sinceReorg += q1 - q0
-		if ix.sinceReorg >= ix.cfg.ReorgEvery {
+		if ix.sinceReorg >= every {
 			ix.beginEpoch()
 		}
 		q0 = q1

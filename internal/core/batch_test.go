@@ -2,12 +2,13 @@ package core
 
 // Differential tests for the batched query plane: a batch must be
 // observably identical to the looped single queries it replaces — the same
-// per-query result sets in the same order, the same cost-meter totals, and
+// per-query result sets in the same order, the same cost-meter totals,
 // bit-identical clustering statistics (cluster Q, candidate q, the decayed
-// window, the epoch counter), including when an epoch boundary falls in the
-// middle of the batch.
+// window, the epoch counter) and the same clustering decisions, including
+// when epoch boundaries fall in the middle of the batch.
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -36,16 +37,18 @@ func buildTwin(t *testing.T, cfg Config, n int, seed int64, maxSize float32) (*I
 // statsSnapshot captures every adaptive indicator the batch path must keep
 // equal to the looped singles.
 type statsSnapshot struct {
-	window  float64
-	epoch   int64
-	q       []float64
-	cands   [][]float64
-	nClust  int
-	nObject int
+	window         float64
+	epoch          int64
+	q              []float64
+	cands          [][]float64
+	nClust         int
+	nObject        int
+	splits, merges int64
 }
 
 func snapshotStats(ix *Index) statsSnapshot {
-	s := statsSnapshot{window: ix.StatsWindow(), epoch: ix.Epoch(), nClust: ix.Clusters(), nObject: ix.Len()}
+	s := statsSnapshot{window: ix.StatsWindow(), epoch: ix.Epoch(), nClust: ix.Clusters(), nObject: ix.Len(),
+		splits: ix.Splits(), merges: ix.Merges()}
 	ix.VisitClusters(func(c *Cluster) {
 		ix.syncStats(c)
 		s.q = append(s.q, c.q)
@@ -59,6 +62,9 @@ func diffStats(t *testing.T, name string, a, b statsSnapshot) {
 	if a.window != b.window || a.epoch != b.epoch || a.nClust != b.nClust || a.nObject != b.nObject {
 		t.Fatalf("%s: window/epoch/shape mismatch: (%g,%d,%d,%d) vs (%g,%d,%d,%d)",
 			name, a.window, a.epoch, a.nClust, a.nObject, b.window, b.epoch, b.nClust, b.nObject)
+	}
+	if a.splits != b.splits || a.merges != b.merges {
+		t.Fatalf("%s: decisions differ: %d splits, %d merges vs %d, %d", name, a.splits, a.merges, b.splits, b.merges)
 	}
 	for i := range a.q {
 		if a.q[i] != b.q[i] {
@@ -79,53 +85,71 @@ func diffStats(t *testing.T, name string, a, b statsSnapshot) {
 // SearchIDsAppendRead on twins: identical per-query id sets in identical
 // order, identical meter totals, identical statistics after both
 // publications drain — with ReorgEvery chosen so an epoch boundary lands
-// inside every batch. Both twins read before either drains, so each round
-// reads identical structure; both then apply identical records and take the
-// same number of reorganization steps, so the comparison stays exact.
+// inside every batch, and with 256-query batches at ReorgEvery 1 and 8, so
+// one record spans dozens of epochs and reaches a cluster in several of
+// them. Both twins read before either drains, so each round reads identical
+// structure; both then apply identical records and take the same number of
+// reorganization steps, so the comparison stays exact.
 func TestSearchBatchDifferential(t *testing.T) {
-	for _, dims := range []int{2, 8} {
-		for _, rel := range []geom.Relation{geom.Intersects, geom.ContainedBy, geom.Encloses} {
-			cfg := Config{Dims: dims, ReorgEvery: 7}
-			loop, batch := buildTwin(t, cfg, 2500, int64(40+dims), 0.3)
-			rng := rand.New(rand.NewSource(int64(90 + dims)))
-			var dst geom.IDBatch
-			var single []uint32
-			for round := 0; round < 6; round++ {
-				nq := []int{1, 3, 17, 64}[round%4]
-				qs := make([]geom.Rect, nq)
-				for i := range qs {
-					if rel == geom.Encloses {
-						// Point queries: the SDI case the batch plane targets.
-						qs[i] = pointRect(rng, dims)
-					} else {
-						qs[i] = randomRect(rng, dims, 1)
-					}
-				}
-				loopBefore, batchBefore := loop.Meter(), batch.Meter()
-				if err := batch.SearchBatchRead(&dst, qs, rel); err != nil {
-					t.Fatal(err)
-				}
-				for i, q := range qs {
-					var err error
-					single, err = loop.SearchIDsAppendRead(single[:0], q, rel)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got := dst.Query(i)
-					if !equalIDs(got, single) {
-						t.Fatalf("dims=%d rel=%v round=%d query=%d: batch ids %v, looped %v", dims, rel, round, i, got, single)
-					}
-				}
-				ld := loop.Meter().Sub(loopBefore)
-				bd := batch.Meter().Sub(batchBefore)
-				if ld != bd {
-					t.Fatalf("dims=%d rel=%v round=%d: meter delta mismatch:\nbatch  %+v\nlooped %+v", dims, rel, round, bd, ld)
-				}
-				loop.DrainStats()
-				batch.DrainStats()
-				diffStats(t, "after drain", snapshotStats(loop), snapshotStats(batch))
+	for _, tc := range []struct {
+		reorgEvery int
+		sizes      []int
+	}{
+		{7, []int{1, 3, 17, 64}},
+		{1, []int{256}},
+		{8, []int{256}},
+	} {
+		for _, dims := range []int{2, 8} {
+			for _, rel := range []geom.Relation{geom.Intersects, geom.ContainedBy, geom.Encloses} {
+				batchDifferential(t, Config{Dims: dims, ReorgEvery: tc.reorgEvery}, rel, tc.sizes)
 			}
 		}
+	}
+}
+
+// batchDifferential runs six rounds of the batch-versus-looped comparison on
+// fresh twins, the batch sizes cycling through sizes.
+func batchDifferential(t *testing.T, cfg Config, rel geom.Relation, sizes []int) {
+	t.Helper()
+	dims := cfg.Dims
+	loop, batch := buildTwin(t, cfg, 2500, int64(40+dims), 0.3)
+	rng := rand.New(rand.NewSource(int64(90 + dims)))
+	var dst geom.IDBatch
+	var single []uint32
+	for round := 0; round < 6; round++ {
+		nq := sizes[round%len(sizes)]
+		qs := make([]geom.Rect, nq)
+		for i := range qs {
+			if rel == geom.Encloses {
+				// Point queries: the SDI case the batch plane targets.
+				qs[i] = pointRect(rng, dims)
+			} else {
+				qs[i] = randomRect(rng, dims, 1)
+			}
+		}
+		loopBefore, batchBefore := loop.Meter(), batch.Meter()
+		if err := batch.SearchBatchRead(&dst, qs, rel); err != nil {
+			t.Fatal(err)
+		}
+		for i, q := range qs {
+			var err error
+			single, err = loop.SearchIDsAppendRead(single[:0], q, rel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := dst.Query(i)
+			if !equalIDs(got, single) {
+				t.Fatalf("dims=%d rel=%v round=%d query=%d: batch ids %v, looped %v", dims, rel, round, i, got, single)
+			}
+		}
+		ld := loop.Meter().Sub(loopBefore)
+		bd := batch.Meter().Sub(batchBefore)
+		if ld != bd {
+			t.Fatalf("dims=%d rel=%v round=%d: meter delta mismatch:\nbatch  %+v\nlooped %+v", dims, rel, round, bd, ld)
+		}
+		loop.DrainStats()
+		batch.DrainStats()
+		diffStats(t, fmt.Sprintf("dims=%d rel=%v reorg=%d round=%d", dims, rel, cfg.ReorgEvery, round), snapshotStats(loop), snapshotStats(batch))
 	}
 }
 

@@ -29,19 +29,6 @@ type Config struct {
 	// 1 never forgets (static query distribution), values close to 0
 	// adapt aggressively.
 	Decay float64
-	// ReorgBudgetClusters caps the cluster revisits performed per
-	// incremental reorganization step (default 32; negative = unlimited,
-	// reproducing the synchronous full pass at every trigger).
-	ReorgBudgetClusters int
-	// ReorgBudgetObjects caps the object relocations performed per
-	// incremental reorganization step (default 128; negative =
-	// unlimited). Merges and materializations are chunked across steps,
-	// so the cap bounds every step. A relocation costs about 2 µs,
-	// revisit work included (16-d range queries of selectivity 5e-3 over
-	// 50 000 objects on a 2-vCPU VM: about 50 relocations for about
-	// 100 µs of steps per query), making a full default step comparable
-	// to a moderately selective query.
-	ReorgBudgetObjects int
 }
 
 func (c *Config) setDefaults() error {
@@ -65,18 +52,6 @@ func (c *Config) setDefaults() error {
 	}
 	if math.IsNaN(c.Decay) || c.Decay < 0 || c.Decay > 1 {
 		return fmt.Errorf("core: decay must be in (0,1], got %g", c.Decay)
-	}
-	if c.ReorgBudgetClusters == 0 {
-		c.ReorgBudgetClusters = 32
-	}
-	if c.ReorgBudgetClusters < 0 {
-		c.ReorgBudgetClusters = -1
-	}
-	if c.ReorgBudgetObjects == 0 {
-		c.ReorgBudgetObjects = 128
-	}
-	if c.ReorgBudgetObjects < 0 {
-		c.ReorgBudgetObjects = -1
 	}
 	if c.Params.Name == "" {
 		c.Params = cost.Memory()

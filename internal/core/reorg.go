@@ -16,10 +16,10 @@ package core
 //     enqueued for one revisit, ordered by its cached benefit estimate from
 //     the previous revisit (best merge/materialization benefit, refreshed
 //     lazily when the cluster is actually processed).
-//   - The queue then drains under a configurable budget
-//     (ReorgBudgetClusters revisits and/or ReorgBudgetObjects relocations
-//     per step), one step per applied query, taken by DrainStats (publish.go)
-//     once the query's statistics record is applied.
+//   - The queue then drains under a fixed budget (reorgBudgetClusters
+//     revisits and reorgBudgetObjects relocations per step, publish.go), one
+//     step per applied query, taken by DrainStats once the query's
+//     statistics record is applied.
 //
 // Because the window and the per-cluster indicators are decayed by the same
 // factor per epoch, every access probability q/W a revisit observes is
@@ -51,8 +51,8 @@ func (ix *Index) Reorganize() {
 // are still queued. That is by design, not a failure: the benefit ordering
 // runs the profitable merges and materializations in the earliest steps, so
 // what carries over is the low-benefit tail — revisits that would mostly
-// no-op. Raise the budgets (WithReorgBudget) if a deployment wants strictly
-// per-epoch currency.
+// no-op; Reorganize runs the whole queue when strict per-epoch currency is
+// wanted.
 func (ix *Index) beginEpoch() {
 	ix.sinceReorg = 0
 	ix.epoch++

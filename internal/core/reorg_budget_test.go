@@ -99,8 +99,8 @@ func TestEarlyStopAccounting(t *testing.T) {
 
 // TestBudgetedReorgMatchesFullPass drives the identical differential
 // workload (random inserts, deletes and queries) into an index reorganizing
-// synchronously (unlimited budgets = the pre-incremental full pass at every
-// trigger) and into budgeted ones, then converges each with repeated
+// synchronously (unlimited budgets = the full pass at every trigger) and
+// into budgeted ones, then converges each with repeated
 // Reorganize rounds. The steady states must agree: same cluster count, same
 // net structural outcome (splits − merges), equivalent per-query work, and
 // comparable total relocation effort. Gross split/merge event counts are
@@ -109,13 +109,12 @@ func TestEarlyStopAccounting(t *testing.T) {
 // not asserted: a near-threshold split choosing a different dimension
 // cascades into a different but equally profitable subtree.
 func TestBudgetedReorgMatchesFullPass(t *testing.T) {
-	build := func(clusterBudget, objectBudget int) *Index {
-		ix := mustNew(t, Config{
-			Dims:                4,
-			ReorgEvery:          50,
-			ReorgBudgetClusters: clusterBudget,
-			ReorgBudgetObjects:  objectBudget,
-		})
+	type budgeted struct {
+		*Index
+		clusters, objects int
+	}
+	build := func(clusterBudget, objectBudget int) budgeted {
+		ix := mustNew(t, Config{Dims: 4, ReorgEvery: 50})
 		rng := rand.New(rand.NewSource(42))
 		nextID := uint32(0)
 		var live []uint32
@@ -134,7 +133,9 @@ func TestBudgetedReorgMatchesFullPass(t *testing.T) {
 				live = live[:len(live)-1]
 			default: // query
 				q := randomRect(rng, 4, 0.4)
-				if _, err := searchIDs(ix, q, geom.Intersects); err != nil {
+				_, err := ix.SearchIDsAppendRead(nil, q, geom.Intersects)
+				ix.drainStats(clusterBudget, objectBudget)
+				if err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -152,30 +153,32 @@ func TestBudgetedReorgMatchesFullPass(t *testing.T) {
 		if err := ix.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
-		return ix
+		return budgeted{ix, clusterBudget, objectBudget}
 	}
 	sync := build(-1, -1)
-	deflt := build(0, 0) // default budgets (32 clusters / 128 objects per step)
+	deflt := build(reorgBudgetClusters, reorgBudgetObjects) // the shipped budgets
 	tight := build(4, 32)
 
 	if sync.Splits() == 0 || sync.Merges() == 0 {
 		t.Fatalf("workload exercised no churn (splits %d, merges %d) — test is vacuous", sync.Splits(), sync.Merges())
 	}
-	for _, ix := range []*Index{sync, deflt, tight} {
+	for _, ix := range []budgeted{sync, deflt, tight} {
 		t.Logf("budgets %d/%d: %d clusters, %d splits, %d merges (net %d), %d objects relocated",
-			ix.Config().ReorgBudgetClusters, ix.Config().ReorgBudgetObjects,
+			ix.clusters, ix.objects,
 			ix.Clusters(), ix.Splits(), ix.Merges(), ix.Splits()-ix.Merges(), ix.ObjectsRelocated())
 	}
 
 	// probe measures the steady-state per-query work over a fixed query
 	// sample — the quantity the cost model optimizes.
-	probe := func(ix *Index) (explored, verified float64) {
+	probe := func(ix budgeted) (explored, verified float64) {
 		ix.ResetMeter()
 		rng := rand.New(rand.NewSource(7))
 		const n = 200
 		for i := 0; i < n; i++ {
 			q := randomRect(rng, 4, 0.4)
-			if _, err := searchIDs(ix, q, geom.Intersects); err != nil {
+			_, err := ix.SearchIDsAppendRead(nil, q, geom.Intersects)
+			ix.drainStats(ix.clusters, ix.objects)
+			if err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -186,7 +189,7 @@ func TestBudgetedReorgMatchesFullPass(t *testing.T) {
 	syncNet := sync.Splits() - sync.Merges()
 	for _, tc := range []struct {
 		name string
-		ix   *Index
+		ix   budgeted
 		// Tolerances: [cluster count ±, net splits−merges ±, verified
 		// rel, relocation factor, gross-event factor]
 		clusters, net int64

@@ -78,12 +78,16 @@ func (ix *Index) decayFactor(delta int64) float64 {
 
 // syncStats applies the deferred decay to c's query indicators, bringing
 // them up to the current epoch.
-func (ix *Index) syncStats(c *Cluster) {
-	if c.statsEpoch == ix.epoch {
+func (ix *Index) syncStats(c *Cluster) { ix.syncStatsTo(c, ix.epoch) }
+
+// syncStatsTo ages c's query indicators to epoch, which may lie ahead of
+// the current one while a statistics record is applied (applyRecord).
+func (ix *Index) syncStatsTo(c *Cluster, epoch int64) {
+	if c.statsEpoch == epoch {
 		return
 	}
-	f := ix.decayFactor(ix.epoch - c.statsEpoch)
-	c.statsEpoch = ix.epoch
+	f := ix.decayFactor(epoch - c.statsEpoch)
+	c.statsEpoch = epoch
 	c.q *= f
 	q := c.cands.q
 	for i := range q {

@@ -80,10 +80,12 @@ type Options struct {
 	// Dims is the dimensionality for the selectivity experiments
 	// (default 16); the dimensionality experiment uses DimsSweep.
 	Dims int
-	// Queries is the number of measured queries per point (default 200).
+	// Queries is the number of measured queries per point (default 200),
+	// rounded up to whole ReorgEvery periods.
 	Queries int
 	// Warmup is the number of queries run before measuring so that the
-	// adaptive clustering converges (default 10·ReorgEvery).
+	// adaptive clustering converges (default 10·ReorgEvery), rounded up
+	// to whole ReorgEvery periods.
 	Warmup int
 	// ReorgEvery is the adaptive index reorganization period (default
 	// 100, as in §7.1).
@@ -127,6 +129,12 @@ func (o *Options) setDefaults() {
 	if o.Warmup <= 0 {
 		o.Warmup = 10 * o.ReorgEvery
 	}
+	// The warm-up and the measured window cover whole reorganization
+	// periods, so every measurement starts on a round boundary and spans
+	// the same number of rounds. A window that straddles part of a round
+	// measures where the round fell, not the index.
+	o.Warmup = roundUp(o.Warmup, o.ReorgEvery)
+	o.Queries = roundUp(o.Queries, o.ReorgEvery)
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
@@ -146,6 +154,9 @@ func (o *Options) setDefaults() {
 		o.ShardSweep = []int{1, 2, 4, 8}
 	}
 }
+
+// roundUp returns the smallest multiple of k that is ≥ n (n, k ≥ 1).
+func roundUp(n, k int) int { return (n + k - 1) / k * k }
 
 func (o *Options) logf(format string, args ...any) {
 	if o.Log != nil {
@@ -238,10 +249,6 @@ type MethodResult struct {
 	// AvgResults is the average answer-set size (observed selectivity ×
 	// objects).
 	AvgResults float64
-	// P50US, P90US, P99US and MaxUS describe the per-query wall-clock
-	// latency distribution (µs). Only experiments that time queries
-	// individually (the latency experiment) fill them; zero elsewhere.
-	P50US, P90US, P99US, MaxUS float64
 	// CacheHits and CacheMisses are the region-cache split of explorations
 	// over the run; zero on engines without a region cache.
 	CacheHits, CacheMisses int64

@@ -309,8 +309,11 @@ func TestRunDispatchAndErrors(t *testing.T) {
 	if _, err := Run("nope", tinyOptions()); err == nil {
 		t.Error("unknown experiment must fail")
 	}
-	if len(Experiments()) != 12 {
+	if len(Experiments()) != 11 {
 		t.Errorf("Experiments() = %v", Experiments())
+	}
+	if _, err := Run("latency", tinyOptions()); err == nil {
+		t.Error("the retired latency experiment must fail as unknown")
 	}
 	o := tinyOptions()
 	o.Objects = 800
@@ -320,6 +323,29 @@ func TestRunDispatchAndErrors(t *testing.T) {
 	exp, err := Run("ablation-grouping", o)
 	if err != nil || exp.ID != "ablation-grouping" {
 		t.Fatalf("dispatch: %v", err)
+	}
+}
+
+// TestOptionsAlignWindowToReorgPeriods: the warm-up and the measured
+// window round up to whole reorganization periods, so a measurement never
+// straddles part of a round; the defaults are already aligned.
+func TestOptionsAlignWindowToReorgPeriods(t *testing.T) {
+	for _, tc := range []struct {
+		in                          Options
+		queries, warmup, reorgEvery int
+	}{
+		{Options{}, 200, 1000, 100},
+		{Options{Queries: 20, Warmup: 100}, 100, 100, 100},
+		{Options{Queries: 40, Warmup: 130, ReorgEvery: 50}, 50, 150, 50},
+		{Options{Queries: 100, Warmup: 300}, 100, 300, 100},
+		{Options{Queries: 7, ReorgEvery: 3}, 9, 30, 3},
+	} {
+		o := tc.in
+		o.setDefaults()
+		if o.Queries != tc.queries || o.Warmup != tc.warmup || o.ReorgEvery != tc.reorgEvery {
+			t.Errorf("%+v: queries %d, warmup %d, reorg %d; want %d, %d, %d",
+				tc.in, o.Queries, o.Warmup, o.ReorgEvery, tc.queries, tc.warmup, tc.reorgEvery)
+		}
 	}
 }
 

@@ -143,52 +143,11 @@ func (e *Experiment) Render(w io.Writer) error {
 			return err
 		}
 	}
-	if e.hasLatency() {
-		fmt.Fprintf(w, "\n-- per-query wall-clock latency [µs] --\n")
-		tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-		header := []string{e.XLabel}
-		for _, m := range e.Methods {
-			n := displayName(m)
-			header = append(header, n+" p50", n+" p90", n+" p99", n+" max")
-		}
-		fmt.Fprintln(tw, strings.Join(header, "\t"))
-		for _, p := range e.Points {
-			row := []string{p.Label}
-			for _, m := range e.Methods {
-				r, ok := p.Results[m]
-				if !ok {
-					row = append(row, "-", "-", "-", "-")
-					continue
-				}
-				row = append(row,
-					fmt.Sprintf("%.0f", r.P50US),
-					fmt.Sprintf("%.0f", r.P90US),
-					fmt.Sprintf("%.0f", r.P99US),
-					fmt.Sprintf("%.0f", r.MaxUS))
-			}
-			fmt.Fprintln(tw, strings.Join(row, "\t"))
-		}
-		if err := tw.Flush(); err != nil {
-			return err
-		}
-	}
 	for _, n := range e.Notes {
 		fmt.Fprintf(w, "note: %s\n", n)
 	}
 	fmt.Fprintln(w)
 	return nil
-}
-
-// hasLatency reports whether any result carries a latency distribution.
-func (e *Experiment) hasLatency() bool {
-	for _, p := range e.Points {
-		for _, r := range p.Results {
-			if r.MaxUS > 0 {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // hasCache reports whether any of the given methods saw region-cache
@@ -218,7 +177,7 @@ func cacheHitPct(r MethodResult) string {
 // CSV writes the experiment as comma-separated values, one line per
 // (point, method).
 func (e *Experiment) CSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "experiment,x,method,partitions,explored_pct,verified_pct,modeled_mem_ms,modeled_disk_ms,measured_us,avg_results,p50_us,p90_us,p99_us,max_us,cache_hits,cache_misses"); err != nil {
+	if _, err := fmt.Fprintln(w, "experiment,x,method,partitions,explored_pct,verified_pct,modeled_mem_ms,modeled_disk_ms,measured_us,avg_results,cache_hits,cache_misses"); err != nil {
 		return err
 	}
 	for _, p := range e.Points {
@@ -227,10 +186,10 @@ func (e *Experiment) CSV(w io.Writer) error {
 			if !ok {
 				continue
 			}
-			if _, err := fmt.Fprintf(w, "%s,%s,%s,%d,%.4f,%.4f,%.6f,%.6f,%.1f,%.2f,%.1f,%.1f,%.1f,%.1f,%d,%d\n",
+			if _, err := fmt.Fprintf(w, "%s,%s,%s,%d,%.4f,%.4f,%.6f,%.6f,%.1f,%.2f,%d,%d\n",
 				e.ID, p.Label, m, r.Partitions, r.ExploredPct, r.VerifiedPct,
 				r.ModeledMemMS, r.ModeledDiskMS, r.MeasuredUS, r.AvgResults,
-				r.P50US, r.P90US, r.P99US, r.MaxUS, r.CacheHits, r.CacheMisses); err != nil {
+				r.CacheHits, r.CacheMisses); err != nil {
 				return err
 			}
 		}

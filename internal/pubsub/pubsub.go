@@ -16,7 +16,6 @@ import (
 	"sync/atomic"
 
 	"accluster/internal/core"
-	"accluster/internal/cost"
 	"accluster/internal/geom"
 	"accluster/internal/shard"
 	"accluster/internal/telemetry"
@@ -106,7 +105,7 @@ func (s *subscriber) run() {
 type Broker struct {
 	schema Schema
 	dims   map[string]int
-	ix     *shard.Engine
+	ix     *shard.Locked
 	depth  int // per-subscriber queue capacity (0 = synchronous)
 
 	mu       sync.Mutex
@@ -118,18 +117,12 @@ type Broker struct {
 	maxDepth atomic.Int64 // high-water mark of any subscriber queue
 }
 
-// Options tune the underlying adaptive index.
+// Options tune the broker. The subscription index is one adaptive index
+// under the in-memory cost scenario behind a reader/writer lock, so
+// concurrent events match in parallel.
 type Options struct {
-	// Scenario selects the cost model (default in-memory).
-	Scenario cost.Params
 	// ReorgEvery is the reorganization period (default 100 events).
 	ReorgEvery int
-	// Shards is the number of partitions of the subscription index
-	// (rounded up to a power of two). Every partition is one adaptive
-	// index behind a reader/writer lock, so concurrent events match in
-	// parallel even on one partition; with more, each event's matching
-	// also fans out across cores. Any value ≤ 1 means one partition.
-	Shards int
 	// QueueDepth, when > 0, makes notification delivery asynchronous:
 	// every handler-bearing subscription gets a bounded queue of this
 	// capacity drained by its own goroutine, so one slow handler delays
@@ -148,18 +141,7 @@ func NewBroker(schema Schema, opts Options) (*Broker, error) {
 	if opts.QueueDepth < 0 {
 		return nil, fmt.Errorf("pubsub: queue depth must be ≥ 0, got %d", opts.QueueDepth)
 	}
-	shards := opts.Shards
-	if shards < 1 {
-		shards = 1 // shard.New reads 0 as one shard per GOMAXPROCS
-	}
-	ix, err := shard.New(shard.Config{
-		Shards: shards,
-		Core: core.Config{
-			Dims:       len(schema),
-			Params:     opts.Scenario,
-			ReorgEvery: opts.ReorgEvery,
-		},
-	})
+	ix, err := core.New(core.Config{Dims: len(schema), ReorgEvery: opts.ReorgEvery})
 	if err != nil {
 		return nil, err
 	}
@@ -170,7 +152,7 @@ func NewBroker(schema Schema, opts Options) (*Broker, error) {
 	return &Broker{
 		schema: schema,
 		dims:   dims,
-		ix:     ix,
+		ix:     shard.NewLocked(ix),
 		depth:  opts.QueueDepth,
 		subs:   make(map[uint32]*subscriber),
 	}, nil
@@ -304,7 +286,7 @@ func (b *Broker) Match(ev Event) ([]uint32, error) {
 	if err != nil {
 		return nil, err
 	}
-	ids, err := b.ix.SearchIDs(q, rel)
+	ids, err := b.ix.SearchIDsAppend(nil, q, rel)
 	if err != nil {
 		return nil, err
 	}
@@ -348,7 +330,7 @@ func (b *Broker) PublishBatch(evs []Event) ([]int, []error) {
 	if len(evs) == 0 {
 		return counts, errs
 	}
-	// Partition the batch by relation; each partition is one index batch.
+	// Group the batch by relation; each group is one index batch.
 	var (
 		encQ, intQ     []geom.Rect
 		encIdx, intIdx []int

@@ -165,7 +165,7 @@ func TestNegativeQueueDepthRejected(t *testing.T) {
 // TestQueuedBrokerConcurrent is the -race stress: concurrent publishers,
 // subscribe/unsubscribe churn, and stats readers against queued delivery.
 func TestQueuedBrokerConcurrent(t *testing.T) {
-	b, err := NewBroker(apartmentSchema(), Options{QueueDepth: 4, Shards: 2})
+	b, err := NewBroker(apartmentSchema(), Options{QueueDepth: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,8 +10,7 @@ import (
 
 // Locked is one adaptive index behind its reader/writer lock, and the only
 // place that lock's discipline is written down: accluster.Adaptive holds
-// one, Engine holds one per shard, and so the pub/sub broker (which always
-// runs on an Engine) does too.
+// one, Engine holds one per shard, and the pub/sub broker holds one.
 //
 //   - Selections and gauges hold the lock shared, so concurrent queries
 //     verify the same index in parallel. Each read's recorded statistics

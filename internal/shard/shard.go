@@ -324,11 +324,6 @@ func (e *Engine) fanOut(q geom.Rect, rel geom.Relation) (*mergeBuffers, error) {
 	return bufs, nil
 }
 
-// SearchIDs collects the identifiers of all qualifying objects.
-func (e *Engine) SearchIDs(q geom.Rect, rel geom.Relation) ([]uint32, error) {
-	return e.SearchIDsAppend(nil, q, rel)
-}
-
 // SearchIDsAppend appends the identifiers of all qualifying objects to dst
 // and returns the extended slice. The per-shard answers merge through pooled
 // buffers, but the fan-out allocates: with a reused dst a warm selection

@@ -163,11 +163,11 @@ func TestInsertBatch(t *testing.T) {
 		q.Min[d], q.Max[d] = 0.2, 0.8
 	}
 	for _, rel := range []geom.Relation{geom.Intersects, geom.ContainedBy, geom.Encloses} {
-		wantIDs, err := a.SearchIDs(q, rel)
+		wantIDs, err := a.SearchIDsAppend(nil, q, rel)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotIDs, err := b.SearchIDs(q, rel)
+		gotIDs, err := b.SearchIDsAppend(nil, q, rel)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,7 +234,7 @@ func TestMeterAggregation(t *testing.T) {
 	q.Max[0], q.Max[1] = 1, 1
 	const queries = 7
 	for i := 0; i < queries; i++ {
-		if _, err := e.SearchIDs(q, geom.Intersects); err != nil {
+		if _, err := e.SearchIDsAppend(nil, q, geom.Intersects); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -266,7 +266,7 @@ func TestSaveLoadDir(t *testing.T) {
 		}
 	}
 	q := randRect(rng, dims)
-	want, err := e.SearchIDs(q, geom.Intersects)
+	want, err := e.SearchIDsAppend(nil, q, geom.Intersects)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestSaveLoadDir(t *testing.T) {
 	if loaded.Len() != e.Len() || loaded.Dims() != dims {
 		t.Errorf("loaded Len=%d Dims=%d, want %d/%d", loaded.Len(), loaded.Dims(), e.Len(), dims)
 	}
-	got, err := loaded.SearchIDs(q, geom.Intersects)
+	got, err := loaded.SearchIDsAppend(nil, q, geom.Intersects)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +400,7 @@ func TestSearchIDsAppendPooled(t *testing.T) {
 	// Sequential agreement plus buffer reuse.
 	buf := make([]uint32, 0, 64)
 	for _, q := range queries {
-		want, err := e.SearchIDs(q, geom.Intersects)
+		want, err := e.SearchIDsAppend(nil, q, geom.Intersects)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -424,7 +424,7 @@ func TestSearchIDsAppendPooled(t *testing.T) {
 	// answers — compare id sets, not emission order.
 	wants := make([][]uint32, len(queries))
 	for i, q := range queries {
-		wants[i], _ = e.SearchIDs(q, geom.Intersects)
+		wants[i], _ = e.SearchIDsAppend(nil, q, geom.Intersects)
 		sort.Slice(wants[i], func(a, b int) bool { return wants[i][a] < wants[i][b] })
 	}
 	done := make(chan error, 8)

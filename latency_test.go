@@ -41,13 +41,16 @@ func hotQuery(q Rect, i int) {
 
 // TestReorgLatencySmoothing drives a reorg-heavy query stream through the
 // budgeted scheduler and asserts the worst single query stays within a
-// factor of the median — the latency cliff this PR removes was the
+// factor of the median — the latency cliff the budgets remove is the
 // ReorgEvery-th query absorbing a full merge/split pass, two to three
-// decimal orders above the median on this workload. Each query is timed on
-// queryClock — the querying thread's CPU clock on Linux, the wall clock
-// elsewhere — so a host stall does not count as query work. Timing bounds
-// stay environment-sensitive, so the factor is generous and the test is
-// skipped under -short and under the race detector's overhead.
+// decimal orders above the median on this workload. The synchronous
+// reference takes that pass on purpose: its automatic schedule never fires
+// and the query that ends each period of 50 runs Reorganize, the whole
+// round. Each query is timed on queryClock — the querying thread's CPU
+// clock on Linux, the wall clock elsewhere — so a host stall does not count
+// as query work. Timing bounds stay environment-sensitive, so the factor is
+// generous and the test is skipped under -short and under the race
+// detector's overhead.
 func TestReorgLatencySmoothing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock latency distribution test; skipped in -short")
@@ -55,8 +58,13 @@ func TestReorgLatencySmoothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector overhead distorts the latency distribution")
 	}
-	run := func(opts ...Option) (median, p99, max time.Duration, rounds int64) {
-		ix, err := NewAdaptive(8, append([]Option{WithReorgEvery(50)}, opts...)...)
+	const period = 50
+	run := func(sync bool) (median, p99, max time.Duration, rounds int64) {
+		every := period
+		if sync {
+			every = 1 << 30
+		}
+		ix, err := NewAdaptive(8, WithReorgEvery(every))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,13 +82,16 @@ func TestReorgLatencySmoothing(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if sync && (i+1)%period == 0 {
+				ix.Reorganize()
+			}
 			lat = append(lat, now()-start)
 		}
 		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
 		return lat[len(lat)/2], lat[len(lat)*99/100], lat[len(lat)-1], ix.ReorgRounds()
 	}
-	syncMed, syncP99, syncMax, _ := run(WithReorgBudget(Unbudgeted, Unbudgeted))
-	med, p99, max, rounds := run() // default budgets
+	syncMed, syncP99, syncMax, _ := run(true)
+	med, p99, max, rounds := run(false)
 	t.Logf("synchronous full pass: median %v, p99 %v, max %v", syncMed, syncP99, syncMax)
 	t.Logf("budgeted scheduler:    median %v, p99 %v, max %v (%d reorg rounds)", med, p99, max, rounds)
 	if rounds < 10 {
@@ -108,7 +119,7 @@ func TestReorgLatencySmoothing(t *testing.T) {
 // maintenance never corrupts the structures it rebuilds.
 func TestReorgStress(t *testing.T) {
 	t.Run("adaptive", func(t *testing.T) {
-		ix, err := NewAdaptive(4, WithReorgEvery(20), WithReorgBudget(8, 512))
+		ix, err := NewAdaptive(4, WithReorgEvery(20))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +134,7 @@ func TestReorgStress(t *testing.T) {
 		}
 	})
 	t.Run("sharded", func(t *testing.T) {
-		ix, err := NewSharded(4, WithShards(4), WithReorgEvery(20), WithReorgBudget(8, 512))
+		ix, err := NewSharded(4, WithShards(4), WithReorgEvery(20))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -155,7 +155,7 @@ func TestNoAllocAnnotatedPaths(t *testing.T) {
 	// warm hit pass).
 	src, path := buildDiskCheckpoint(t, 4, 3000)
 	defer src.Close()
-	d, err := OpenDisk(path, WithDiskCache(64<<20), WithReadahead(128<<10))
+	d, err := OpenDisk(path, WithDiskCache(64<<20))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package accluster
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"accluster/internal/cost"
@@ -26,19 +25,12 @@ func DiskScenario() Scenario { return cost.Disk() }
 // options collects the tunables of all index constructors; each constructor
 // reads the fields relevant to it.
 type options struct {
-	scenario       cost.Params
-	divisionFactor int
-	reorgEvery     int
-	decay          float64
-	reorgClusters  int
-	reorgObjects   int
-	pageSize       int
-	shards         int
-	salvage        bool
-	diskCache      int64
-	diskCacheSet   bool
-	readaheadGap   int64
-	readaheadSet   bool
+	scenario     cost.Params
+	reorgEvery   int
+	shards       int
+	salvage      bool
+	diskCache    int64
+	diskCacheSet bool
 
 	telemetry         *Telemetry
 	telemetryAddr     string
@@ -48,8 +40,8 @@ type options struct {
 	// err records the first invalid option value. Validation happens at
 	// the option layer, not only in the engine config: engine defaulting
 	// maps the zero value to "use the default", so an explicitly tuned
-	// zero (WithDecay(0), WithReorgEvery(0)) would otherwise be silently
-	// replaced instead of rejected — the smuggling path this closes.
+	// zero (WithReorgEvery(0)) would otherwise be silently replaced instead
+	// of rejected — the smuggling path this closes.
 	err error
 }
 
@@ -79,19 +71,6 @@ func WithScenario(s Scenario) Option {
 	return func(o *options) { o.scenario = s }
 }
 
-// WithDivisionFactor sets the clustering function's division factor f
-// (default 4): each dimension's variation intervals are cut into f
-// subintervals when candidate subclusters are generated. f must be ≥ 2.
-func WithDivisionFactor(f int) Option {
-	return func(o *options) {
-		if f < 2 {
-			o.fail("division factor must be ≥ 2, got %d", f)
-			return
-		}
-		o.divisionFactor = f
-	}
-}
-
 // WithReorgEvery sets the number of queries between reorganization rounds
 // (default 100). n must be ≥ 1: a non-positive period would disable the
 // statistics decay schedule the cost model depends on.
@@ -103,44 +82,6 @@ func WithReorgEvery(n int) Option {
 		}
 		o.reorgEvery = n
 	}
-}
-
-// WithDecay sets the exponential forgetting factor applied to query
-// statistics at every reorganization round (default 0.5; 1 never forgets).
-// d must lie in (0,1]: zero or negative decay would erase the statistics
-// window every round and NaN would poison every access probability.
-func WithDecay(d float64) Option {
-	return func(o *options) {
-		if math.IsNaN(d) || d <= 0 || d > 1 {
-			o.fail("decay must be in (0,1], got %g", d)
-			return
-		}
-		o.decay = d
-	}
-}
-
-// WithReorgBudget bounds one incremental reorganization step: at most
-// clusters revisits and objects relocations per step (defaults 32 and 128;
-// pass Unbudgeted for no bound, which reproduces the synchronous
-// stop-the-world pass at every trigger). Merges and materializations are
-// chunked across steps, so the object bound caps every step's relocation
-// work outright.
-func WithReorgBudget(clusters, objects int) Option {
-	return func(o *options) {
-		if clusters == 0 || objects == 0 {
-			o.fail("reorg budget components must be positive or Unbudgeted, got %d/%d", clusters, objects)
-			return
-		}
-		o.reorgClusters, o.reorgObjects = clusters, objects
-	}
-}
-
-// Unbudgeted disables one bound of WithReorgBudget.
-const Unbudgeted = -1
-
-// WithPageSize sets the R*-tree node page size in bytes (default 16384).
-func WithPageSize(bytes int) Option {
-	return func(o *options) { o.pageSize = bytes }
 }
 
 // WithShards sets the sharded index's partition count, rounded up to a
@@ -182,21 +123,6 @@ func WithDiskCache(bytes int64) Option {
 			return
 		}
 		o.diskCache, o.diskCacheSet = bytes, true
-	}
-}
-
-// WithReadahead sets the seek-coalescing readahead gap (bytes) of a disk
-// query engine opened with OpenDisk (default 256 KiB): regions explored by
-// one query whose device gap is at most this many bytes are read in a
-// single sequential transfer instead of paying one seek each. 0 disables
-// coalescing, negative is rejected. Other constructors ignore the option.
-func WithReadahead(gapBytes int64) Option {
-	return func(o *options) {
-		if gapBytes < 0 {
-			o.fail("readahead gap must be ≥ 0 bytes, got %d", gapBytes)
-			return
-		}
-		o.readaheadGap, o.readaheadSet = gapBytes, true
 	}
 }
 

@@ -1,18 +1,11 @@
 package accluster
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 func TestOptionsApplied(t *testing.T) {
 	o, err := gatherOptions([]Option{
 		WithScenario(DiskScenario()),
-		WithDivisionFactor(6),
 		WithReorgEvery(42),
-		WithDecay(0.75),
-		WithReorgBudget(32, 2048),
-		WithPageSize(8192),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -20,52 +13,29 @@ func TestOptionsApplied(t *testing.T) {
 	if o.scenario.Name != "disk" {
 		t.Errorf("scenario = %q", o.scenario.Name)
 	}
-	if o.divisionFactor != 6 || o.reorgEvery != 42 || o.decay != 0.75 {
+	if o.reorgEvery != 42 {
 		t.Errorf("adaptive options: %+v", o)
-	}
-	if o.reorgClusters != 32 || o.reorgObjects != 2048 {
-		t.Errorf("reorg options: %+v", o)
-	}
-	if o.pageSize != 8192 {
-		t.Errorf("tree options: %+v", o)
 	}
 }
 
 // TestOptionValidation is the table-driven audit of the option surface: a
-// tuned configuration must not be able to smuggle an invalid Decay or
-// ReorgEvery (or budget) past validation. Engine-level defaulting maps the
-// zero value to "use the default", so without option-layer checks an
-// explicit WithDecay(0) would silently become 0.5 instead of failing — and
-// NaN used to pass the engine's range check outright.
+// tuned configuration must not be able to smuggle an invalid ReorgEvery (or
+// shard count or cache budget) past validation. Engine-level defaulting maps
+// the zero value to "use the default", so without option-layer checks an
+// explicit WithReorgEvery(0) would silently become 100 instead of failing.
 func TestOptionValidation(t *testing.T) {
 	cases := []struct {
 		name string
 		opt  Option
 		ok   bool
 	}{
-		{"decay valid", WithDecay(0.3), true},
-		{"decay one", WithDecay(1), true},
-		{"decay zero", WithDecay(0), false},
-		{"decay negative", WithDecay(-0.5), false},
-		{"decay above one", WithDecay(1.5), false},
-		{"decay NaN", WithDecay(math.NaN()), false},
 		{"reorg every valid", WithReorgEvery(1), true},
 		{"reorg every zero", WithReorgEvery(0), false},
 		{"reorg every negative", WithReorgEvery(-5), false},
-		{"division factor valid", WithDivisionFactor(2), true},
-		{"division factor one", WithDivisionFactor(1), false},
-		{"division factor zero", WithDivisionFactor(0), false},
-		{"budget valid", WithReorgBudget(1, 1), true},
-		{"budget unlimited", WithReorgBudget(Unbudgeted, Unbudgeted), true},
-		{"budget zero clusters", WithReorgBudget(0, 100), false},
-		{"budget zero objects", WithReorgBudget(100, 0), false},
 		{"shards negative", WithShards(-1), false},
 		{"disk cache valid", WithDiskCache(1 << 20), true},
 		{"disk cache zero", WithDiskCache(0), true},
 		{"disk cache negative", WithDiskCache(-1), false},
-		{"readahead valid", WithReadahead(64 << 10), true},
-		{"readahead zero", WithReadahead(0), true},
-		{"readahead negative", WithReadahead(-4096), false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -88,17 +58,14 @@ func TestOptionValidation(t *testing.T) {
 }
 
 func TestOptionsReachConstructors(t *testing.T) {
-	ac, err := NewAdaptive(4, WithDivisionFactor(3), WithReorgEvery(7))
+	ac, err := NewAdaptive(4, WithReorgEvery(7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Division factor 3 on a 4-dim root: 4 · 3·4/2 = 24 candidates; the
-	// effect is observable through clustering behaviour, but here just
-	// assert construction succeeded with non-defaults.
 	if ac.Dims() != 4 {
 		t.Error("dims")
 	}
-	rs, err := NewRStar(4, WithPageSize(1024))
+	rs, err := NewRStar(4)
 	if err != nil {
 		t.Fatal(err)
 	}
