@@ -414,7 +414,8 @@ func BenchmarkReorganize(b *testing.B) {
 // budgeted schedule. ns/op is the mean; the p99_us and max_us metrics expose
 // the tail the budgets exist to flatten — benchstat diffs them across
 // commits — and splits/query, merges/query and clusters show how much
-// clustering work the stream kept the schedule doing.
+// clustering work the stream kept the schedule doing under the default
+// rule, which makes each split and merge earn back its relocations.
 func BenchmarkReorgChurn(b *testing.B) {
 	b.Run("budgeted", func(b *testing.B) {
 		ix, err := NewAdaptive(8, WithReorgEvery(50))

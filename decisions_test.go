@@ -16,6 +16,14 @@ import (
 // schedule that flips a decision shows here as a changed counter. A change
 // that flips decisions on purpose updates the numbers and says why.
 //
+// The numbers changed once on purpose, when each split and merge began to
+// pay for its relocations against the statistics horizon (cost.Relocation).
+// The paper's unpriced rule made 257 splits and 238 merges on the single
+// stream (200 and 174 batched) for 20 (27) clusters; the priced rule makes
+// 32 and 16 (51 and 28) for 17 (24), checks and explores fewer clusters and
+// verifies about 3% (4%) more objects. internal/core's
+// TestPaperRuleDecisionsPinned keeps the paper's numbers for this stream.
+//
 // Off amd64 the compiler may fuse multiply-adds, which can move a benefit
 // that sits near zero across it, so the pin is amd64-only.
 func TestClusteringDecisionsPinned(t *testing.T) {
@@ -34,10 +42,10 @@ func TestClusteringDecisionsPinned(t *testing.T) {
 		BytesVerified, Results                int64
 	}
 	want := map[string]counters{
-		"single": {Clusters: 20, Splits: 257, Merges: 238, ReorgRounds: 64,
-			Checked: 138325, Explored: 53810, Verified: 12475557, BytesVerified: 157724616, Results: 4215},
-		"batch": {Clusters: 27, Splits: 200, Merges: 174, ReorgRounds: 64,
-			Checked: 176096, Explored: 61082, Verified: 11396836, BytesVerified: 144104472, Results: 4215},
+		"single": {Clusters: 17, Splits: 32, Merges: 16, ReorgRounds: 64,
+			Checked: 108469, Explored: 47391, Verified: 12811892, BytesVerified: 160327688, Results: 4215},
+		"batch": {Clusters: 24, Splits: 51, Merges: 28, ReorgRounds: 64,
+			Checked: 154432, Explored: 56510, Verified: 11889455, BytesVerified: 148606024, Results: 4215},
 	}
 
 	og, err := workload.NewObjectGen(workload.ObjectSpec{Dims: dims, MinSize: 0.3, MaxSize: 0.5, Skewed: true, Seed: 71})

@@ -36,13 +36,27 @@
 // aging the query statistics by the decay factor 0.5 and queueing every
 // materialized cluster for a cost-model revisit — merge into the parent when
 // profitable, otherwise materialize profitable candidate subclusters (§3.4;
-// the clustering function's division factor is the paper's f = 4). The
-// queue is ordered by each cluster's last observed benefit and drained
-// incrementally: each query runs one bounded step of at most 32 cluster
-// revisits and 128 object relocations (merges and materializations are
-// chunked, so the relocation bound caps every step outright). The worst
-// query therefore carries a bounded slice of maintenance instead of a
-// stop-the-world full pass.
+// the clustering function's division factor is the paper's f = 4).
+//
+// Profitable means the decision pays for its relocations. The paper's
+// benefit functions (eqs. 3 and 5) weigh only the per-query gain; taken
+// alone they accept a split or merge whose relocations cost more than the
+// statistics will ever collect, and the clustering then keeps splitting
+// and merging about equally often. A candidate s of cluster c is
+// materialized only when β(s,c)·H > n_s·r, and c merges into its parent a
+// only when μ(c,a)·H > n_c·r. H, the horizon the decayed statistics
+// remember, is the reorganization period over 1 − 0.5: 200 queries by
+// default. r = 2·C + 2·B_setup/f² is the price of relocating one object:
+// reading and writing it plus moving it between two clusters' membership
+// indicators, in the cost scenario's own units (about 9.4·C at 16 dims
+// under the memory scenario).
+//
+// The revisit queue is ordered by each cluster's last observed benefit
+// and drained incrementally: each query runs one bounded step of at most
+// 32 cluster revisits and 128 object relocations (merges and
+// materializations are chunked, so the relocation bound caps every step
+// outright). The worst query therefore carries a bounded slice of
+// maintenance instead of a stop-the-world full pass.
 //
 // Statistics aging matches the synchronous full pass: the window decays
 // eagerly once per epoch and per-cluster indicators decay lazily by

@@ -29,6 +29,21 @@ type Config struct {
 	// 1 never forgets (static query distribution), values close to 0
 	// adapt aggressively.
 	Decay float64
+	// PaperRule decides splits and merges by the paper's per-query
+	// benefits alone (eqs. 3 and 5), without charging the relocation of
+	// the moved objects against the statistics horizon (cost.Relocation).
+	// The public package never sets it; it keeps the paper's decisions
+	// reachable as a reference.
+	PaperRule bool
+}
+
+// relocation returns the price the configuration's split and merge tests
+// charge per relocated object: none under PaperRule.
+func (c *Config) relocation(objBytes int) cost.Relocation {
+	if c.PaperRule {
+		return cost.Relocation{}
+	}
+	return c.Params.Relocation(objBytes, c.DivisionFactor, c.ReorgEvery, c.Decay)
 }
 
 func (c *Config) setDefaults() error {
@@ -96,6 +111,8 @@ type objLoc struct {
 type Index struct {
 	cfg      Config
 	objBytes int
+	// reloc prices the relocations of a split or merge (reorg.go).
+	reloc cost.Relocation
 
 	root     *Cluster
 	clusters []*Cluster // all materialized clusters; clusters[0] == root
@@ -156,9 +173,11 @@ func New(cfg Config) (*Index, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
 	}
+	objBytes := geom.ObjectBytes(cfg.Dims)
 	ix := &Index{
 		cfg:      cfg,
-		objBytes: geom.ObjectBytes(cfg.Dims),
+		objBytes: objBytes,
+		reloc:    cfg.relocation(objBytes),
 		loc:      make(map[uint32]objLoc),
 	}
 	ix.root = newCluster(sig.Root(cfg.Dims), cfg.DivisionFactor)

@@ -127,7 +127,7 @@ func (ix *Index) revisit(c *Cluster, objectBudget int) (moved int, done bool) {
 		ix.epoch-c.createdEpoch >= 1 && c.parent.activeChild != c {
 		ix.syncStats(c.parent)
 		pc, pa := ix.prob(c.q), ix.prob(c.parent.q)
-		if b := ix.cfg.Params.MergingBenefit(pc, pa, c.Len(), ix.objBytes); b > 0 {
+		if b := ix.cfg.Params.PricedMergingBenefit(pc, pa, c.Len(), ix.objBytes, ix.reloc); b > 0 {
 			c.prio = b
 			return ix.mergeCluster(c, objectBudget)
 		}
@@ -161,7 +161,7 @@ func (ix *Index) splitUnderBudget(c *Cluster, objectBudget int) (moved int, done
 				if ps > pc {
 					ps = pc // counters guarantee q_s ≤ q_c; clamp defensively
 				}
-				b := ix.cfg.Params.MaterializationBenefit(pc, ps, int(cs.n[i]), ix.objBytes)
+				b := ix.cfg.Params.PricedMaterializationBenefit(pc, ps, int(cs.n[i]), ix.objBytes, ix.reloc)
 				if b > 0 && (best < 0 || b > bestBenefit) {
 					best, bestBenefit = i, b
 				}

@@ -108,16 +108,54 @@ func TestEarlyStopAccounting(t *testing.T) {
 // into more, smaller events — and signature-level identity is deliberately
 // not asserted: a near-threshold split choosing a different dimension
 // cascades into a different but equally profitable subtree.
+//
+// The subject is the step scheduler, not the decision rule, so it runs two
+// streams that churn. Uniform queries churn under the paper's unpriced rule
+// (PaperRule), while the default rule, which charges each split or merge
+// its relocations, makes a few splits on them and no merge; a query
+// hotspot that moves every few periods keeps the default rule splitting
+// and merging.
 func TestBudgetedReorgMatchesFullPass(t *testing.T) {
+	t.Run("paper rule", func(t *testing.T) {
+		testBudgetedReorgMatchesFullPass(t, Config{Dims: 4, ReorgEvery: 50, PaperRule: true},
+			func(rng *rand.Rand, _ int) geom.Rect { return randomRect(rng, 4, 0.4) })
+	})
+	t.Run("moving hotspot", func(t *testing.T) {
+		// Queries fall in a box of side 0.6 whose center moves every
+		// four reorganization periods.
+		const period, side = 200, 0.6
+		var center [4]float32
+		testBudgetedReorgMatchesFullPass(t, Config{Dims: 4, ReorgEvery: 50},
+			func(rng *rand.Rand, k int) geom.Rect {
+				if k%period == 0 {
+					for d := range center {
+						center[d] = side/2 + (1-side)*rng.Float32()
+					}
+				}
+				r := geom.NewRect(4)
+				for d := range center {
+					size := 0.3 * rng.Float32()
+					lo := min(max(center[d]-side/2+side*rng.Float32()-size/2, 0), 1-size)
+					r.Min[d], r.Max[d] = lo, lo+size
+				}
+				return r
+			})
+	})
+}
+
+// testBudgetedReorgMatchesFullPass runs TestBudgetedReorgMatchesFullPass on
+// one configuration; query returns the stream's k-th query.
+func testBudgetedReorgMatchesFullPass(t *testing.T, cfg Config, query func(rng *rand.Rand, k int) geom.Rect) {
 	type budgeted struct {
 		*Index
 		clusters, objects int
 	}
 	build := func(clusterBudget, objectBudget int) budgeted {
-		ix := mustNew(t, Config{Dims: 4, ReorgEvery: 50})
+		ix := mustNew(t, cfg)
 		rng := rand.New(rand.NewSource(42))
 		nextID := uint32(0)
 		var live []uint32
+		nq := 0
 		for step := 0; step < 12000; step++ {
 			switch op := rng.Intn(10); {
 			case op < 4: // insert
@@ -132,7 +170,8 @@ func TestBudgetedReorgMatchesFullPass(t *testing.T) {
 				live[k] = live[len(live)-1]
 				live = live[:len(live)-1]
 			default: // query
-				q := randomRect(rng, 4, 0.4)
+				q := query(rng, nq)
+				nq++
 				_, err := ix.SearchIDsAppendRead(nil, q, geom.Intersects)
 				ix.drainStats(clusterBudget, objectBudget)
 				if err != nil {
@@ -175,7 +214,7 @@ func TestBudgetedReorgMatchesFullPass(t *testing.T) {
 		rng := rand.New(rand.NewSource(7))
 		const n = 200
 		for i := 0; i < n; i++ {
-			q := randomRect(rng, 4, 0.4)
+			q := query(rng, i)
 			_, err := ix.SearchIDsAppendRead(nil, q, geom.Intersects)
 			ix.drainStats(ix.clusters, ix.objects)
 			if err != nil {
@@ -185,8 +224,10 @@ func TestBudgetedReorgMatchesFullPass(t *testing.T) {
 		m := ix.Meter()
 		return float64(m.Explorations) / n, float64(m.ObjectsVerified) / n
 	}
+	// Read the full pass's steady state before its probe, as the budgeted
+	// ones are read before theirs: a probe's queries reorganize further.
+	syncClusters, syncNet := sync.Clusters(), sync.Splits()-sync.Merges()
 	se, sv := probe(sync)
-	syncNet := sync.Splits() - sync.Merges()
 	for _, tc := range []struct {
 		name string
 		ix   budgeted
@@ -206,9 +247,9 @@ func TestBudgetedReorgMatchesFullPass(t *testing.T) {
 			}
 			return x
 		}
-		if d := abs(int64(tc.ix.Clusters()) - int64(sync.Clusters())); d > tc.clusters {
+		if d := abs(int64(tc.ix.Clusters()) - int64(syncClusters)); d > tc.clusters {
 			t.Errorf("%s: steady-state cluster count %d, sync %d (tolerance ±%d)",
-				tc.name, tc.ix.Clusters(), sync.Clusters(), tc.clusters)
+				tc.name, tc.ix.Clusters(), syncClusters, tc.clusters)
 		}
 		if d := abs((tc.ix.Splits() - tc.ix.Merges()) - syncNet); d > tc.net {
 			t.Errorf("%s: net splits−merges %d, sync %d (tolerance ±%d)",

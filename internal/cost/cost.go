@@ -12,7 +12,13 @@
 // signature verification time, B the exploration setup time (plus one disk
 // seek in the disk scenario), and C the per-object verification time (plus
 // per-object transfer on disk).
+//
+// The benefit functions price only the per-query gain of a decision. The
+// reorganization rule charges each split or merge its one-time relocation
+// cost against the gain the statistics horizon collects (Relocation).
 package cost
+
+import "math"
 
 // Reference I/O and CPU operation costs from paper Table 2 (§6), expressed
 // in milliseconds.
@@ -34,7 +40,9 @@ const (
 	// in Table 2. Updating the indicators of up to dims·f² candidates
 	// dominates this cost; 25 µs reproduces the paper's observed cluster
 	// granularity (≈80 objects per cluster at 2,000,000 objects,
-	// Fig. 7 Table 1).
+	// Fig. 7 Table 1). The same per-indicator price also prices the
+	// indicator half of a relocation (Params.Relocation): moving one
+	// object between two clusters updates 2·dims of those indicators.
 	DefaultExploreSetupMS = 2.5e-2
 )
 
@@ -115,4 +123,62 @@ func (p Params) MaterializationBenefit(pc, ps float64, ns, objBytes int) float64
 // (probability pa). Positive values mean merging is profitable.
 func (p Params) MergingBenefit(pc, pa float64, nc, objBytes int) float64 {
 	return p.A() + pc*p.B() - (pa-pc)*float64(nc)*p.C(objBytes)
+}
+
+// Relocation prices what eqs. 3 and 5 leave out: a split or merge moves
+// every object of the candidate or cluster once, and that one-time cost has
+// to be earned back by the per-query benefit before the decayed statistics
+// forget the queries that justified it. The zero value charges nothing,
+// which is the paper's rule.
+type Relocation struct {
+	// ObjectMS is r, the price of relocating one object.
+	ObjectMS float64
+	// Horizon is H, the number of queries the statistics remember; +Inf
+	// when they never forget.
+	Horizon float64
+}
+
+// Relocation returns the scenario's relocation price for objects of
+// objBytes under a clustering function of division factor f whose
+// statistics age by decay every reorgEvery queries.
+//
+// r = 2·C(objBytes) + 2·ExploreSetupMS/f² covers reading and writing the
+// object plus moving it between two clusters' membership indicators. A
+// cluster keeps dims·f² candidate indicators, whose updates ExploreSetupMS
+// prices per exploration, and an object sits in one per dimension: a move
+// updates 2·dims of them.
+//
+// H = reorgEvery/(1−decay) is the sum of the decay factors over the rounds:
+// the number of queries the statistics remember. With decay 1 nothing is
+// forgotten and the horizon is unbounded.
+func (p Params) Relocation(objBytes, f, reorgEvery int, decay float64) Relocation {
+	h := math.Inf(1)
+	if decay < 1 {
+		h = float64(reorgEvery) / (1 - decay)
+	}
+	return Relocation{ObjectMS: 2*p.C(objBytes) + 2*p.ExploreSetupMS/float64(f*f), Horizon: h}
+}
+
+// perQuery spreads the relocation of n objects over the horizon: n·r/H.
+func (rl Relocation) perQuery(n int) float64 {
+	if rl.ObjectMS == 0 {
+		return 0
+	}
+	return float64(n) * rl.ObjectMS / rl.Horizon
+}
+
+// PricedMaterializationBenefit returns β(s,c) − ns·r/H: the materialization
+// benefit (eq. 3) net of moving the candidate's ns objects, spread over the
+// horizon. It is positive exactly when β(s,c)·H > ns·r, the test a
+// candidate must pass to be materialized.
+func (p Params) PricedMaterializationBenefit(pc, ps float64, ns, objBytes int, rl Relocation) float64 {
+	return p.MaterializationBenefit(pc, ps, ns, objBytes) - rl.perQuery(ns)
+}
+
+// PricedMergingBenefit returns μ(c,a) − nc·r/H: the merging benefit (eq. 5)
+// net of moving the cluster's nc objects, spread over the horizon. It is
+// positive exactly when μ(c,a)·H > nc·r, the test a cluster must pass to be
+// merged into its parent.
+func (p Params) PricedMergingBenefit(pc, pa float64, nc, objBytes int, rl Relocation) float64 {
+	return p.MergingBenefit(pc, pa, nc, objBytes) - rl.perQuery(nc)
 }

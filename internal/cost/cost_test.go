@@ -151,6 +151,107 @@ func TestDiskDiscouragesFineClusters(t *testing.T) {
 	}
 }
 
+// TestRelocationPrice pins r = 2·C(objBytes) + 2·ExploreSetupMS/f² at f = 4,
+// worked by hand from Table 2's constants. An object of d dims takes
+// 8·d+4 bytes: 68 at 8 dims, 132 at 16.
+func TestRelocationPrice(t *testing.T) {
+	for _, tc := range []struct {
+		p        Params
+		objBytes int
+		c, r     float64 // C and r in ms, by hand
+	}{
+		// memory: C = bytes·3.18e-6; 2·B/f² = 2·0.025/16 = 3.125e-3
+		{Memory(), 68, 2.1624e-4, 4.3248e-4 + 3.125e-3},  // r ≈ 16.5·C
+		{Memory(), 132, 4.1976e-4, 8.3952e-4 + 3.125e-3}, // r ≈ 9.4·C
+		// disk: C = bytes·(3.18e-6 + 4.77e-5) = bytes·5.088e-5; the seek
+		// is paid per exploration, not per relocated object
+		{Disk(), 68, 3.45984e-3, 6.91968e-3 + 3.125e-3},
+		{Disk(), 132, 6.71616e-3, 1.343232e-2 + 3.125e-3},
+	} {
+		if got := tc.p.C(tc.objBytes); !almost(got, tc.c) {
+			t.Errorf("%s %d B: C = %g, want %g", tc.p.Name, tc.objBytes, got, tc.c)
+		}
+		if got := tc.p.Relocation(tc.objBytes, 4, 100, 0.5).ObjectMS; !almost(got, tc.r) {
+			t.Errorf("%s %d B: r = %g, want %g", tc.p.Name, tc.objBytes, got, tc.r)
+		}
+	}
+	// H = ReorgEvery/(1−decay): 100/(1−0.5) = 200 queries.
+	if got := Memory().Relocation(132, 4, 100, 0.5).Horizon; got != 200 {
+		t.Errorf("H at period 100, decay 0.5 = %g, want 200", got)
+	}
+	if got := Memory().Relocation(132, 4, 100, 1).Horizon; !math.IsInf(got, 1) {
+		t.Errorf("H at decay 1 = %g, want +Inf", got)
+	}
+}
+
+// TestPricedRuleHandWorked checks the priced split and merge tests against
+// decisions worked out by hand on a scenario with round prices: A = 1 ms,
+// B = 16 ms and C = 1 ms per 4-byte object, so at f = 4 the relocation price
+// is r = 2·1 + 2·16/16 = 4 ms. Reorganizing every 10 queries with decay 0.5
+// gives the horizon H = 10/(1−0.5) = 20 queries.
+//
+// Split, pc = 1, ps = 0.5: β = 0.5·ns − 0.5·16 − 1 = 0.5·ns − 9, which is
+// positive from ns = 19. β·H = 10·ns − 180 beats ns·r = 4·ns only from
+// ns = 31: at ns = 30 both sides are 120.
+//
+// Merge, pa = 1, pc = 0.75: μ = 1 + 0.75·16 − 0.25·nc = 13 − 0.25·nc, which
+// is positive up to nc = 51. μ·H = 260 − 5·nc beats nc·r = 4·nc only up to
+// nc = 28: at 28 it is 120 against 112, at 29 115 against 116.
+func TestPricedRuleHandWorked(t *testing.T) {
+	const objBytes = 4
+	p := Params{Name: "hand", SigCheckMS: 1, ExploreSetupMS: 16, VerifyMSPerByte: 0.25}
+	rl := p.Relocation(objBytes, 4, 10, 0.5)
+	if rl.ObjectMS != 4 || rl.Horizon != 20 {
+		t.Fatalf("r = %g, H = %g; want 4 and 20", rl.ObjectMS, rl.Horizon)
+	}
+	never := p.Relocation(objBytes, 4, 10, 1) // decay 1: nothing forgotten
+
+	type decision struct {
+		n                   int
+		paper, priced, keep bool // paper rule, priced at H = 20, priced at H = ∞
+	}
+	for _, d := range []decision{
+		{18, false, false, false}, // β = 0
+		{19, true, false, true},   // β = 0.5
+		{30, true, false, true},   // β = 6: β·H = 120 = ns·r
+		{31, true, true, true},    // β = 6.5: β·H = 130 > 124
+		{200, true, true, true},
+	} {
+		if got := p.MaterializationBenefit(1, 0.5, d.n, objBytes) > 0; got != d.paper {
+			t.Errorf("split ns=%d: β > 0 is %v, want %v", d.n, got, d.paper)
+		}
+		if got := p.PricedMaterializationBenefit(1, 0.5, d.n, objBytes, Relocation{}) > 0; got != d.paper {
+			t.Errorf("split ns=%d: paper rule materializes %v, want %v", d.n, got, d.paper)
+		}
+		if got := p.PricedMaterializationBenefit(1, 0.5, d.n, objBytes, rl) > 0; got != d.priced {
+			t.Errorf("split ns=%d: priced rule materializes %v, want %v", d.n, got, d.priced)
+		}
+		if got := p.PricedMaterializationBenefit(1, 0.5, d.n, objBytes, never) > 0; got != d.keep {
+			t.Errorf("split ns=%d: decay 1 materializes %v, want %v", d.n, got, d.keep)
+		}
+	}
+	for _, d := range []decision{
+		{1, true, true, true},
+		{28, true, true, true},    // μ = 6: μ·H = 120 > 112
+		{29, true, false, true},   // μ = 5.75: μ·H = 115 < 116
+		{51, true, false, true},   // μ = 0.25
+		{52, false, false, false}, // μ = 0
+	} {
+		if got := p.MergingBenefit(0.75, 1, d.n, objBytes) > 0; got != d.paper {
+			t.Errorf("merge nc=%d: μ > 0 is %v, want %v", d.n, got, d.paper)
+		}
+		if got := p.PricedMergingBenefit(0.75, 1, d.n, objBytes, Relocation{}) > 0; got != d.paper {
+			t.Errorf("merge nc=%d: paper rule merges %v, want %v", d.n, got, d.paper)
+		}
+		if got := p.PricedMergingBenefit(0.75, 1, d.n, objBytes, rl) > 0; got != d.priced {
+			t.Errorf("merge nc=%d: priced rule merges %v, want %v", d.n, got, d.priced)
+		}
+		if got := p.PricedMergingBenefit(0.75, 1, d.n, objBytes, never) > 0; got != d.keep {
+			t.Errorf("merge nc=%d: decay 1 merges %v, want %v", d.n, got, d.keep)
+		}
+	}
+}
+
 func TestMeterAccumulation(t *testing.T) {
 	var m Meter
 	m.Add(Meter{Queries: 2, SigChecks: 10, Explorations: 3, Seeks: 3,

@@ -37,10 +37,13 @@ func coreIDs(ix *core.Index, q geom.Rect, rel geom.Relation) ([]uint32, error) {
 // disk and returns both. The clustering runs under the memory cost model:
 // at these test scales the disk model's 15 ms seek keeps everything in one
 // cluster, which would leave the multi-cluster query path untested — the
-// engine executes whatever clustering the checkpoint carries.
+// engine executes whatever clustering the checkpoint carries. For the same
+// reason it runs the paper's unpriced split and merge rule (PaperRule): the
+// default rule charges relocations, which this short stream cannot earn
+// back, and the subject here is the engine, not the rule.
 func buildCheckpoint(t *testing.T, dims, n int) (*core.Index, *vdisk.Disk) {
 	t.Helper()
-	ix, err := core.New(core.Config{Dims: dims, Params: cost.Memory(), ReorgEvery: 40})
+	ix, err := core.New(core.Config{Dims: dims, Params: cost.Memory(), ReorgEvery: 40, PaperRule: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"math"
 
 	"accluster/internal/core"
 	"accluster/internal/cost"
@@ -144,7 +143,13 @@ func RunAblationDivision(o Options) (*Experiment, error) {
 
 // RunConvergence tracks the clustering across reorganization rounds (E12).
 // The paper reports that with a stable query distribution the process
-// reaches a stable state in fewer than 10 reorganization steps.
+// reaches a stable state in fewer than 10 reorganization steps. Every round
+// reports the splits and merges it made, and the note dates the settling
+// from them (settledRound): a cluster count that holds still can hide a
+// clustering that splits and merges about equally often. The AC row runs
+// the default rule, which charges each split or merge its relocations; the
+// AC-paper row runs the paper's unpriced rule (r = 0) on the same objects
+// and queries.
 func RunConvergence(o Options) (*Experiment, error) {
 	o.setDefaults()
 	const rounds = 15
@@ -152,7 +157,7 @@ func RunConvergence(o Options) (*Experiment, error) {
 		ID:      "convergence",
 		Title:   "clustering convergence across reorganization rounds",
 		XLabel:  "round",
-		Methods: []string{MethodACMem},
+		Methods: []string{MethodACMem, MethodACPaper},
 	}
 	objSpec := workload.ObjectSpec{Dims: o.Dims, MaxSize: o.MaxObjSize, Seed: o.Seed}
 	sel := 5e-4
@@ -160,50 +165,79 @@ func RunConvergence(o Options) (*Experiment, error) {
 	if err != nil {
 		return nil, err
 	}
-	ix, err := core.New(core.Config{Dims: o.Dims, Params: cost.Memory(), ReorgEvery: o.ReorgEvery})
-	if err != nil {
-		return nil, err
-	}
-	e := coreEngine{ix}
-	if err := load(map[string]Engine{MethodACMem: e}, objSpec, o.Objects); err != nil {
-		return nil, err
-	}
-	qg, err := workload.NewQueryGen(workload.QuerySpec{Dims: o.Dims, Size: size, Seed: o.Seed + 51})
-	if err != nil {
-		return nil, err
-	}
-	stableAt := -1
-	prev := ix.Clusters()
 	for round := 1; round <= rounds; round++ {
-		batch := make([]geom.Rect, o.ReorgEvery)
-		for i := range batch {
-			batch[i] = qg.Rect()
-		}
-		r, err := measure(e, batch, geom.Intersects)
-		if err != nil {
-			return nil, err
-		}
 		exp.Points = append(exp.Points, Point{
 			Label:   fmt.Sprintf("%d", round),
 			X:       float64(round),
-			Results: map[string]MethodResult{MethodACMem: r},
+			Results: map[string]MethodResult{},
 		})
-		cur := ix.Clusters()
-		if stableAt < 0 && round > 1 {
-			change := math.Abs(float64(cur-prev)) / math.Max(1, float64(prev))
-			if change < 0.02 {
-				stableAt = round
-			}
-		}
-		prev = cur
 	}
-	if stableAt > 0 {
-		exp.Notes = append(exp.Notes, fmt.Sprintf(
-			"cluster count stabilized at round %d (paper: stable in <10 steps)", stableAt))
-	} else {
-		exp.Notes = append(exp.Notes, "cluster count did not stabilize within the observed rounds")
+	for _, m := range exp.Methods {
+		ix, err := core.New(core.Config{Dims: o.Dims, Params: cost.Memory(), ReorgEvery: o.ReorgEvery, PaperRule: m == MethodACPaper})
+		if err != nil {
+			return nil, err
+		}
+		e := coreEngine{ix}
+		if err := load(map[string]Engine{m: e}, objSpec, o.Objects); err != nil {
+			return nil, err
+		}
+		qg, err := workload.NewQueryGen(workload.QuerySpec{Dims: o.Dims, Size: size, Seed: o.Seed + 51})
+		if err != nil {
+			return nil, err
+		}
+		for i := range exp.Points {
+			batch := make([]geom.Rect, o.ReorgEvery)
+			for k := range batch {
+				batch[k] = qg.Rect()
+			}
+			splits, merges := ix.Splits(), ix.Merges()
+			r, err := measure(e, batch, geom.Intersects)
+			if err != nil {
+				return nil, err
+			}
+			r.Splits, r.Merges = ix.Splits()-splits, ix.Merges()-merges
+			exp.Points[i].Results[m] = r
+		}
+		exp.Notes = append(exp.Notes, convergenceNote(exp.Points, m))
 	}
 	return exp, nil
+}
+
+// settledRound returns the first round from which every observed round is
+// quiet, or -1 if the last round is not. A quiet round splits and merges at
+// most one cluster in 20 of those it ends with, rounded up: at least one
+// event is allowed, so a lone split or merge does not unsettle a handful
+// of clusters.
+func settledRound(points []Point, method string) int {
+	settled := -1
+	for i, p := range points {
+		r := p.Results[method]
+		if r.Splits+r.Merges > int64(r.Partitions+19)/20 {
+			settled = -1
+		} else if settled < 0 {
+			settled = i + 1
+		}
+	}
+	return settled
+}
+
+// convergenceNote summarizes one method's churn across the rounds.
+func convergenceNote(points []Point, method string) string {
+	name := displayName(method)
+	var splits, merges int64
+	for _, p := range points {
+		splits += p.Results[method].Splits
+		merges += p.Results[method].Merges
+	}
+	total := fmt.Sprintf("%d splits and %d merges over %d rounds", splits, merges, len(points))
+	if at := settledRound(points, method); at > 0 {
+		return fmt.Sprintf("%s: settled at round %d: no later round splits or merges more than one cluster in 20 (paper: stable in <10 steps); %s",
+			name, at, total)
+	}
+	last := points[len(points)-1]
+	r := last.Results[method]
+	return fmt.Sprintf("%s: not settled: round %s still split %d and merged %d of %d clusters; %s",
+		name, last.Label, r.Splits, r.Merges, r.Partitions, total)
 }
 
 // Run dispatches an experiment by its identifier (see Experiments for the
@@ -253,7 +287,8 @@ func Run(id string, o Options) (*Experiment, error) {
 //	ablation-f         division factor f of the clustering function, §4.2
 //	                   and §6 (E11)
 //	convergence        clustering across reorganization rounds, §7.1:
-//	                   stable within 10 steps (E12)
+//	                   stable within 10 steps; splits and merges per
+//	                   round, default rule beside the paper's (E12)
 //	relations          intersection, containment and enclosure compared
 //	                   (E13)
 //	updates            insertions and deletions interleaved with queries

@@ -63,12 +63,13 @@ func (e mbbEngine) Partitions() int { return e.Clusters() }
 
 // Method names used across experiments.
 const (
-	MethodSS     = "SS"      // Sequential Scan
-	MethodRS     = "RS"      // R*-tree
-	MethodACMem  = "AC-mem"  // Adaptive Clustering tuned for the memory scenario
-	MethodACDisk = "AC-disk" // Adaptive Clustering tuned for the disk scenario
-	MethodMBB    = "MBB"     // minimum-bounding grouping ablation
-	MethodScan   = "scan"    // one-cluster columnar scan: AC with reorganization off
+	MethodSS      = "SS"       // Sequential Scan
+	MethodRS      = "RS"       // R*-tree
+	MethodACMem   = "AC-mem"   // Adaptive Clustering tuned for the memory scenario
+	MethodACDisk  = "AC-disk"  // Adaptive Clustering tuned for the disk scenario
+	MethodMBB     = "MBB"      // minimum-bounding grouping ablation
+	MethodScan    = "scan"     // one-cluster columnar scan: AC with reorganization off
+	MethodACPaper = "AC-paper" // AC-mem under the paper's unpriced split and merge rule (r = 0)
 )
 
 // Options control experiment scale. The zero value picks defaults suitable
@@ -252,6 +253,10 @@ type MethodResult struct {
 	// CacheHits and CacheMisses are the region-cache split of explorations
 	// over the run; zero on engines without a region cache.
 	CacheHits, CacheMisses int64
+	// Splits and Merges count the reorganization's cluster
+	// materializations and merges during the run; only the convergence
+	// experiment reports them.
+	Splits, Merges int64
 }
 
 // measure runs the query set against e and summarizes the counters. The

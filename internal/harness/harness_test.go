@@ -208,6 +208,10 @@ func TestRunAblationDivision(t *testing.T) {
 	}
 }
 
+// TestRunConvergence requires E12's two rows, the default rule (AC) and
+// the paper's unpriced rule (AC-paper), with splits and merges for every
+// round that account for the cluster count: the index starts as one
+// cluster, so after round i it holds 1 + Σ(splits − merges) of rounds ≤ i.
 func TestRunConvergence(t *testing.T) {
 	o := tinyOptions()
 	o.Objects = 2000
@@ -218,8 +222,41 @@ func TestRunConvergence(t *testing.T) {
 	if len(exp.Points) != 15 {
 		t.Fatalf("points: %d", len(exp.Points))
 	}
-	if len(exp.Notes) == 0 {
-		t.Error("expected a convergence note")
+	if len(exp.Notes) != 2 {
+		t.Errorf("expected one convergence note per row, got %q", exp.Notes)
+	}
+	churn := map[string]int64{}
+	for _, m := range []string{MethodACMem, MethodACPaper} {
+		clusters := int64(1)
+		for i, p := range exp.Points {
+			r, ok := p.Results[m]
+			if !ok {
+				t.Fatalf("round %s has no %s row", p.Label, m)
+			}
+			if r.Splits < 0 || r.Merges < 0 {
+				t.Fatalf("%s round %s: %d splits, %d merges", m, p.Label, r.Splits, r.Merges)
+			}
+			clusters += r.Splits - r.Merges
+			if int64(r.Partitions) != clusters {
+				t.Errorf("%s round %d: %d clusters, but the splits and merges so far leave %d", m, i+1, r.Partitions, clusters)
+			}
+			churn[m] += r.Splits + r.Merges
+		}
+	}
+	if churn[MethodACPaper] == 0 {
+		t.Fatal("the paper rule made no splits or merges; the experiment shows nothing")
+	}
+	if churn[MethodACMem] > churn[MethodACPaper] {
+		t.Errorf("the priced rule made %d splits and merges, the paper rule %d", churn[MethodACMem], churn[MethodACPaper])
+	}
+	var buf bytes.Buffer
+	if err := exp.Render(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, col := range []string{"AC splits", "AC merges", "AC-paper splits", "AC-paper merges"} {
+		if !strings.Contains(buf.String(), col) {
+			t.Errorf("rendered table lacks the %q column", col)
+		}
 	}
 }
 

@@ -41,13 +41,13 @@ func (e *Experiment) Result(i int, method string) (MethodResult, bool) {
 	return r, ok
 }
 
-// scenarioOf maps a method name to the adaptive engine relevant in a
-// scenario section: the memory section shows AC-mem, the disk section
-// AC-disk; other methods appear in both.
+// scenarioMethods maps a method name to the adaptive engine relevant in a
+// scenario section: the memory section shows AC-mem and AC-paper, the disk
+// section AC-disk; other methods appear in both.
 func scenarioMethods(methods []string, disk bool) []string {
 	var out []string
 	for _, m := range methods {
-		if m == MethodACMem && disk {
+		if (m == MethodACMem || m == MethodACPaper) && disk {
 			continue
 		}
 		if m == MethodACDisk && !disk {
@@ -107,7 +107,7 @@ func (e *Experiment) Render(w io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(w, "\n-- %s: data access --\n", scenario)
-		cached := e.hasCache(methods)
+		cached, reorg := e.hasCache(methods), e.hasReorg(methods)
 		tw = tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 		header = []string{e.XLabel}
 		for _, m := range methods {
@@ -115,6 +115,9 @@ func (e *Experiment) Render(w io.Writer) error {
 			header = append(header, n+" parts", n+" expl%", n+" objs%")
 			if cached {
 				header = append(header, n+" hit%")
+			}
+			if reorg {
+				header = append(header, n+" splits", n+" merges")
 			}
 		}
 		fmt.Fprintln(tw, strings.Join(header, "\t"))
@@ -127,6 +130,9 @@ func (e *Experiment) Render(w io.Writer) error {
 					if cached {
 						row = append(row, "-")
 					}
+					if reorg {
+						row = append(row, "-", "-")
+					}
 					continue
 				}
 				row = append(row,
@@ -135,6 +141,9 @@ func (e *Experiment) Render(w io.Writer) error {
 					fmt.Sprintf("%.1f", r.VerifiedPct))
 				if cached {
 					row = append(row, cacheHitPct(r))
+				}
+				if reorg {
+					row = append(row, fmt.Sprintf("%d", r.Splits), fmt.Sprintf("%d", r.Merges))
 				}
 			}
 			fmt.Fprintln(tw, strings.Join(row, "\t"))
@@ -164,6 +173,19 @@ func (e *Experiment) hasCache(methods []string) bool {
 	return false
 }
 
+// hasReorg reports whether any of the given methods reported splits or
+// merges at any point; only then does the data-access table carry them.
+func (e *Experiment) hasReorg(methods []string) bool {
+	for _, p := range e.Points {
+		for _, m := range methods {
+			if r, ok := p.Results[m]; ok && r.Splits+r.Merges > 0 {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // cacheHitPct formats a result's region-cache hit rate, "-" without cache
 // activity.
 func cacheHitPct(r MethodResult) string {
@@ -177,7 +199,7 @@ func cacheHitPct(r MethodResult) string {
 // CSV writes the experiment as comma-separated values, one line per
 // (point, method).
 func (e *Experiment) CSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "experiment,x,method,partitions,explored_pct,verified_pct,modeled_mem_ms,modeled_disk_ms,measured_us,avg_results,cache_hits,cache_misses"); err != nil {
+	if _, err := fmt.Fprintln(w, "experiment,x,method,partitions,explored_pct,verified_pct,modeled_mem_ms,modeled_disk_ms,measured_us,avg_results,cache_hits,cache_misses,splits,merges"); err != nil {
 		return err
 	}
 	for _, p := range e.Points {
@@ -186,10 +208,10 @@ func (e *Experiment) CSV(w io.Writer) error {
 			if !ok {
 				continue
 			}
-			if _, err := fmt.Fprintf(w, "%s,%s,%s,%d,%.4f,%.4f,%.6f,%.6f,%.1f,%.2f,%d,%d\n",
+			if _, err := fmt.Fprintf(w, "%s,%s,%s,%d,%.4f,%.4f,%.6f,%.6f,%.1f,%.2f,%d,%d,%d,%d\n",
 				e.ID, p.Label, m, r.Partitions, r.ExploredPct, r.VerifiedPct,
 				r.ModeledMemMS, r.ModeledDiskMS, r.MeasuredUS, r.AvgResults,
-				r.CacheHits, r.CacheMisses); err != nil {
+				r.CacheHits, r.CacheMisses, r.Splits, r.Merges); err != nil {
 				return err
 			}
 		}

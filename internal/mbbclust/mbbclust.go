@@ -29,7 +29,8 @@ import (
 )
 
 // Config parameterizes the MBB-grouping index; the fields mirror
-// core.Config.
+// core.Config's, less PaperRule: this index always runs the default rule,
+// which charges each split or merge its relocations.
 type Config struct {
 	Dims           int
 	Params         cost.Params
@@ -208,6 +209,7 @@ type objLoc struct {
 type Index struct {
 	cfg      Config
 	objBytes int
+	reloc    cost.Relocation
 	root     *cluster
 	clusters []*cluster
 	loc      map[uint32]objLoc
@@ -228,9 +230,11 @@ func New(cfg Config) (*Index, error) {
 	for d := 0; d < cfg.Dims; d++ {
 		region.Max[d] = 1
 	}
+	objBytes := geom.ObjectBytes(cfg.Dims)
 	ix := &Index{
 		cfg:      cfg,
-		objBytes: geom.ObjectBytes(cfg.Dims),
+		objBytes: objBytes,
+		reloc:    cfg.Params.Relocation(objBytes, cfg.DivisionFactor, cfg.ReorgEvery, cfg.Decay),
 		loc:      make(map[uint32]objLoc),
 	}
 	ix.root = newCluster(region, cfg.DivisionFactor)
@@ -392,7 +396,7 @@ func (ix *Index) Reorganize() {
 		}
 		if c != ix.root && c.parent != nil && !c.parent.removed {
 			pc, pa := ix.prob(c.q), ix.prob(c.parent.q)
-			if ix.cfg.Params.MergingBenefit(pc, pa, len(c.ids), ix.objBytes) > 0 {
+			if ix.cfg.Params.PricedMergingBenefit(pc, pa, len(c.ids), ix.objBytes, ix.reloc) > 0 {
 				ix.merge(c)
 				continue
 			}
@@ -423,7 +427,7 @@ func (ix *Index) trySplit(c *cluster) {
 			if ps > pc {
 				ps = pc
 			}
-			b := ix.cfg.Params.MaterializationBenefit(pc, ps, int(cd.n), ix.objBytes)
+			b := ix.cfg.Params.PricedMaterializationBenefit(pc, ps, int(cd.n), ix.objBytes, ix.reloc)
 			if b > 0 && (best < 0 || b > bestBenefit) {
 				best, bestBenefit = i, b
 			}
